@@ -22,7 +22,6 @@ from .automata import (
     RawAutomaton,
     SafetyAutomaton,
     isomorphic,
-    membership,
     normalize,
     parse_automaton,
     project_inputs,
@@ -41,8 +40,6 @@ from .editing import (
     build_edit_tables,
     canonical_policy,
     compute_edit_sets,
-    repair_event,
-    word_edit_sets,
 )
 from .oracle import (
     ConstraintReport,
@@ -116,7 +113,6 @@ __all__ = [
     "enforce_word",
     "format_word",
     "isomorphic",
-    "membership",
     "mutual_exclusion",
     "non_enforceability_witness",
     "normalize",
@@ -129,11 +125,9 @@ __all__ = [
     "random_inputs",
     "render_automaton",
     "render_input_automaton",
-    "repair_event",
     "simulate",
     "transform_non_enforceable",
     "validate_witness",
-    "word_edit_sets",
     "word_inputs",
     "word_outputs",
 ]

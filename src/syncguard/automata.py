@@ -179,11 +179,6 @@ class InputAutomaton:
         return any(d != self.violating for d in self.successors(location, inputs))
 
 
-def membership(automaton: SafetyAutomaton, word: Sequence[Event]) -> bool:
-    """True iff running the word from the initial location avoids the trap."""
-    return automaton.accepts(word)
-
-
 def parse_automaton(text: str) -> RawAutomaton:
     """Parse an automaton document; see the module docstring for the format.
 

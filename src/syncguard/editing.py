@@ -1,10 +1,11 @@
-"""Edit sets and deterministic repair choices.
+"""Edit sets and repair choices.
 
 For every accepting location the *safe inputs* are the input events from
 which some output keeps the run out of the trap; given a location and an
-already-fixed input, the *safe outputs* are the outputs that do so.  When
-an observed event fails the transition test the enforcer replaces it with
-an element of the corresponding set, picked by one of three policies:
+already-fixed input, the *safe outputs* are the outputs that do so.
+:func:`compute_edit_sets` computes both once per automaton.  When an
+observed event is not in its set, ``Enforcer.tick`` replaces it with an
+element of that set, picked by one of three policies:
 
 ``nearest``
     Minimal Hamming distance from the observed event; ties prefer
@@ -17,9 +18,11 @@ an element of the corresponding set, picked by one of three policies:
     Reproducible pseudo-random pick keyed by (seed, candidate set), via
     SHA-256.  Observed-independent, precomputable.
 
-The observed-independent policies are materialized once per automaton into
-:class:`EditTables` (one entry per accepting location, and one per
-(location, safe input) pair).
+:func:`select` is the one dispatcher from a policy to its choice.
+:func:`build_edit_tables` applies it once per automaton for the
+observed-independent policies (one entry per accepting location, and one
+per (location, safe input) pair); the word-level oracle applies it to the
+sets it recomputes from membership.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Optional
 
 from .analysis import NotEnforceableError
 from .automata import InputAutomaton, SafetyAutomaton, project_inputs
-from .bits import BitVector, Word
+from .bits import BitVector
 
 NEAREST = "nearest"
 LEXICOGRAPHIC = "lexicographic"
@@ -67,8 +70,6 @@ class EditTables:
 
     input_choice: dict[str, BitVector]
     output_choice: dict[tuple[str, BitVector], BitVector]
-    policy: str
-    seed: Optional[int]
 
 
 def compute_edit_sets(
@@ -98,36 +99,6 @@ def compute_edit_sets(
                 if automaton.delta[(q, automaton.alphabet.event(x, y))] != trap
             )
     return EditSets(safe_inputs, safe_outputs)
-
-
-def word_edit_sets(
-    automaton: SafetyAutomaton,
-    prior: Word,
-    inputs: Optional[BitVector] = None,
-) -> frozenset[BitVector]:
-    """Safe events after an accepted word.
-
-    With ``inputs`` absent, returns the safe inputs at the location the
-    word reaches; with ``inputs`` given, the safe outputs for that input.
-    The word forms of these sets coincide with the location-indexed ones
-    because the automaton is deterministic.
-    """
-    location = automaton.run(prior)
-    if location == automaton.violating:
-        raise ValueError("edit sets are undefined past a violation")
-    trap = automaton.violating
-    if inputs is None:
-        input_automaton = project_inputs(automaton)
-        return frozenset(
-            x
-            for x in automaton.alphabet.input_events
-            if input_automaton.safe_successor_exists(location, x)
-        )
-    return frozenset(
-        y
-        for y in automaton.alphabet.output_events
-        if automaton.delta[(location, automaton.alphabet.event(inputs, y))] != trap
-    )
 
 
 # -- selection --
@@ -162,10 +133,11 @@ def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVe
 
 def select(
     candidates: frozenset[BitVector],
-    observed: BitVector,
+    observed: Optional[BitVector],
     policy: str,
     seed: Optional[int] = None,
 ) -> BitVector:
+    """The policy's pick from a non-empty set; only ``nearest`` reads ``observed``."""
     if policy == NEAREST:
         return choose_nearest(candidates, observed)
     if policy == LEXICOGRAPHIC:
@@ -186,54 +158,17 @@ def build_edit_tables(
     policy = canonical_policy(policy)
     if policy == NEAREST:
         raise ValueError("the nearest policy is observed-dependent; no static table exists")
-    chooser = (
-        choose_lexicographic
-        if policy == LEXICOGRAPHIC
-        else (lambda cs: choose_seeded(cs, seed))
-    )
     input_choice: dict[str, BitVector] = {}
     output_choice: dict[tuple[str, BitVector], BitVector] = {}
     for q, candidates in sets.safe_inputs.items():
         if not candidates:
             raise NotEnforceableError(f"automaton not enforceable: location {q} is dead")
-        input_choice[q] = chooser(candidates)
+        input_choice[q] = select(candidates, None, policy, seed)
         for x in candidates:
             outputs = sets.safe_outputs[(q, x)]
             if not outputs:
                 raise NotEnforceableError(
                     f"automaton not enforceable: no safe output at ({q}, {x})"
                 )
-            output_choice[(q, x)] = chooser(outputs)
-    return EditTables(input_choice, output_choice, policy, seed)
-
-
-def repair_event(
-    sets: EditSets,
-    location: str,
-    observed: BitVector,
-    kind: str,
-    context: Optional[BitVector] = None,
-    policy: str = NEAREST,
-    seed: Optional[int] = None,
-) -> BitVector:
-    """Replace an unsafe observed vector with a safe one.
-
-    ``kind`` is ``"input"`` or ``"output"``; output repair needs the
-    already-fixed input as ``context``.  Only called on violation: the
-    observed vector must not itself be safe.
-    """
-    if kind == "input":
-        candidates = sets.safe_inputs[location]
-    elif kind == "output":
-        if context is None:
-            raise ValueError("output repair requires the fixed input as context")
-        candidates = sets.safe_outputs[(location, context)]
-    else:
-        raise ValueError(f"kind must be 'input' or 'output', got {kind!r}")
-    if not candidates:
-        raise NotEnforceableError(
-            f"not enforceable at runtime: empty {kind} edit set at {location}"
-        )
-    if observed in candidates:
-        raise ValueError(f"observed {kind} {observed} is already safe; repair not needed")
-    return select(candidates, observed, canonical_policy(policy), seed)
+            output_choice[(q, x)] = select(outputs, None, policy, seed)
+    return EditTables(input_choice, output_choice)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .automata import SafetyAutomaton, membership, project_inputs
+from .automata import SafetyAutomaton, project_inputs
 from .bits import Event, Word, word_inputs
 from .editing import NEAREST, canonical_policy, select
 from .runtime import Enforcer
@@ -57,7 +57,7 @@ def oracle_step(
         x
         for x in alphabet.input_events
         if any(
-            membership(automaton, released + (alphabet.event(x, y),))
+            automaton.accepts(released + (alphabet.event(x, y),))
             for y in alphabet.output_events
         )
     )
@@ -68,7 +68,7 @@ def oracle_step(
     safe_outputs = frozenset(
         y
         for y in alphabet.output_events
-        if membership(automaton, released + (alphabet.event(fixed_input, y),))
+        if automaton.accepts(released + (alphabet.event(fixed_input, y),))
     )
     if observed.output in safe_outputs:
         fixed_output = observed.output
@@ -91,16 +91,12 @@ def oracle_enforce(
     return released
 
 
-def validate_witness(
-    automaton: SafetyAutomaton, witness: Word, event: Event
-) -> bool:
+def validate_witness(automaton: SafetyAutomaton, witness: Word) -> bool:
     """True iff every event from the location the witness reaches violates.
 
     Such a witness proves no enforcer exists: after releasing it
     (transparency forces that), the next event can neither be kept nor
-    repaired.  The ``event`` argument is the claimed unrepairable
-    extension; since the check quantifies over all events, it validates
-    the whole family.  Raises if the witness itself is not accepted.
+    repaired.  Raises if the witness itself is not accepted.
     """
     location = automaton.run(witness)
     if location == automaton.violating:
@@ -191,7 +187,7 @@ def check_constraints(
     def visit(observed: Word, released: Word, snap, ancestors: list[Word]) -> None:
         nonlocal words
         words += 1
-        if not membership(automaton, released):
+        if not automaton.accepts(released):
             fail("soundness", observed)
         if len(released) != len(observed):
             fail("instantaneity", observed)
@@ -199,13 +195,13 @@ def check_constraints(
             if released[: len(ancestor)] != ancestor:
                 fail("monotonicity", observed)
                 break
-        if membership(automaton, observed) and released != observed:
+        if automaton.accepts(observed) and released != observed:
             fail("weak_transparency", observed)
         if observed:
             parent_released = ancestors[-1]
             event = observed[-1]
             kept = parent_released + (event,)
-            if membership(automaton, kept) and released != kept:
+            if automaton.accepts(kept) and released != kept:
                 fail("transparency", observed)
             # causality: the new event decomposes into a safe input choice
             # followed by a safe output choice
@@ -214,7 +210,7 @@ def check_constraints(
                 input_word = word_inputs(parent_released) + (new.input,)
                 if not input_automaton.accepts_inputs(input_word):
                     fail("causality", observed)
-                elif not membership(automaton, parent_released + (new,)):
+                elif not automaton.accepts(parent_released + (new,)):
                     fail("causality", observed)
             else:
                 fail("causality", observed)

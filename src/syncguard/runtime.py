@@ -42,10 +42,13 @@ class TickRecord:
 class Enforcer:
     """Stateful enforcer for one enforceable safety automaton.
 
-    Construction precomputes the input projection, the safe-event sets,
-    and (for observed-independent policies) the repair tables; it fails
-    with the enforceability report if the automaton has dead locations.
-    A single instance is single-owner: only ``tick`` mutates it.
+    Construction computes the safe-event sets (through the input
+    projection) and, for observed-independent policies, the repair tables;
+    it fails with the enforceability report if the automaton has dead
+    locations.  ``tick`` is the one place where an observed input or
+    output is kept or replaced; the program is passed to each ``tick`` or
+    ``run`` call.  A single instance is single-owner: only ``tick``
+    mutates it, and only after the program has returned.
     """
 
     def __init__(
@@ -53,14 +56,13 @@ class Enforcer:
         automaton: SafetyAutomaton,
         policy: str = NEAREST,
         seed: Optional[int] = None,
-        program: Optional[TickFunction] = None,
     ):
         report = check_enforceability(automaton)
         if not report.enforceable:
             raise NotEnforceableError(str(report), report)
         self.automaton = automaton
-        self.input_automaton = project_inputs(automaton)
-        self.edit_sets = compute_edit_sets(automaton, self.input_automaton)
+        input_automaton = project_inputs(automaton)
+        self.edit_sets = compute_edit_sets(automaton, input_automaton)
         self.policy = canonical_policy(policy)
         self.seed = seed
         self.tables = (
@@ -68,9 +70,9 @@ class Enforcer:
             if self.policy == NEAREST
             else build_edit_tables(self.edit_sets, self.policy, seed)
         )
-        self.program = program
         self.location = automaton.initial
         self.ticks = 0
+        self._in_width = len(automaton.alphabet.inputs)
         self._out_width = len(automaton.alphabet.outputs)
 
     def reset(self) -> None:
@@ -83,59 +85,74 @@ class Enforcer:
     def restore(self, snapshot: tuple[str, int]) -> None:
         self.location, self.ticks = snapshot
 
-    def tick(self, inputs: BitVector, program: Optional[TickFunction] = None) -> TickRecord:
+    def tick(self, inputs: BitVector, program: TickFunction) -> TickRecord:
         """Run one enforcement step and return what happened.
 
         The program sees the fixed input, so the recorded observed event
         pairs the raw environment input with the program's response to the
-        fixed one (a response to the raw input never exists).
+        fixed one (a response to the raw input never exists).  An input or
+        output that is not a vector of the interface's width raises
+        ValueError; a bad input does so before the program is called.  If
+        anything raises, the enforcer's state is unchanged.
         """
-        program = program or self.program
-        if program is None:
-            raise ValueError("no program bound and none passed to tick()")
         q = self.location
         sets = self.edit_sets
 
-        input_ok = inputs in sets.safe_inputs[q]
+        # A member of a safe set is a valid vector, so only the edit paths
+        # check the type and the width.
+        try:
+            input_ok = inputs in sets.safe_inputs[q]
+        except TypeError:  # unhashable, so not a BitVector
+            input_ok = False
         if input_ok:
             fixed_input = inputs
-        elif self.tables is not None:
-            fixed_input = self.tables.input_choice[q]
         else:
-            fixed_input = choose_nearest(sets.safe_inputs[q], inputs)
+            _check_vector(inputs, self._in_width, "input")
+            if self.tables is not None:
+                fixed_input = self.tables.input_choice[q]
+            else:
+                fixed_input = choose_nearest(sets.safe_inputs[q], inputs)
 
         outputs = program(fixed_input)
-        if len(outputs) != self._out_width:
-            raise ValueError(f"program output width mismatch: {outputs}")
 
-        output_ok = outputs in sets.safe_outputs[(q, fixed_input)]
+        try:
+            output_ok = outputs in sets.safe_outputs[(q, fixed_input)]
+        except TypeError:
+            output_ok = False
         if output_ok:
             fixed_output = outputs
-        elif self.tables is not None:
-            fixed_output = self.tables.output_choice[(q, fixed_input)]
         else:
-            fixed_output = choose_nearest(sets.safe_outputs[(q, fixed_input)], outputs)
+            _check_vector(outputs, self._out_width, "program output")
+            if self.tables is not None:
+                fixed_output = self.tables.output_choice[(q, fixed_input)]
+            else:
+                fixed_output = choose_nearest(sets.safe_outputs[(q, fixed_input)], outputs)
 
-        released = self.automaton.alphabet.event(fixed_input, fixed_output)
-        self.location = self.automaton.delta[(q, released)]
+        alphabet = self.automaton.alphabet
+        released = alphabet.event(fixed_input, fixed_output)
         record = TickRecord(
             t=self.ticks,
-            observed=self.automaton.alphabet.event(inputs, outputs),
+            observed=alphabet.event(inputs, outputs),
             released=released,
             input_edited=not input_ok,
             output_edited=not output_ok,
-            state_after=self.location,
+            state_after=self.automaton.delta[(q, released)],
         )
+        self.location = record.state_after
         self.ticks += 1
         return record
 
-    def run(
-        self,
-        env: Iterable[BitVector],
-        program: Optional[TickFunction] = None,
-    ) -> list[TickRecord]:
+    def run(self, env: Iterable[BitVector], program: TickFunction) -> list[TickRecord]:
         """Fold ``tick`` over an input sequence."""
         return [self.tick(x, program) for x in env]
+
+
+def _check_vector(vector, width: int, role: str) -> None:
+    if not isinstance(vector, BitVector) or len(vector) != width:
+        raise ValueError(
+            f"{role} width or type mismatch: expected a {width}-bit BitVector, "
+            f"got {vector!r}"
+        )
 
 
 def enforce_word(

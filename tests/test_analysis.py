@@ -11,7 +11,6 @@ from syncguard import (
     dead_end_branch,
     dead_end_branch_repaired,
     isomorphic,
-    membership,
     mutual_exclusion,
     non_enforceability_witness,
     transform_non_enforceable,
@@ -52,7 +51,7 @@ class TestWitness:
         witness = non_enforceability_witness(a, "q1")
         assert len(witness) == 1
         assert a.run(witness) == "q1"
-        assert membership(a, witness)
+        assert a.accepts(witness)
 
     def test_witness_for_dead_initial_location_is_empty(self):
         # only the empty word is accepted here
@@ -104,8 +103,8 @@ class TestTransform:
                 continue
             for length in range(4):
                 for word in itertools.product(a.alphabet.events, repeat=length):
-                    if membership(result, word):
-                        assert membership(a, word)
+                    if result.accepts(word):
+                        assert a.accepts(word)
 
     @settings(max_examples=50, deadline=None)
     @given(a=safety_automata())

@@ -9,7 +9,6 @@ from syncguard import (
     Event,
     ParseError,
     isomorphic,
-    membership,
     mutual_exclusion,
     normalize,
     parse_automaton,
@@ -173,10 +172,10 @@ class TestNormalize:
             """
         )
         a = normalize(raw)
-        assert membership(a, (ev("1/1"),))
+        assert a.accepts((ev("1/1"),))
         for length in range(4):
             for word in itertools.product(raw.alphabet.events, repeat=length):
-                assert raw.accepts(word) == membership(a, word)
+                assert raw.accepts(word) == a.accepts(word)
 
     def test_unreachable_states_are_pruned(self):
         raw = parse_automaton(
@@ -210,34 +209,34 @@ class TestNormalize:
         a = normalize(raw)
         for length in range(4):
             for word in itertools.product(raw.alphabet.events, repeat=length):
-                assert raw.accepts(word) == membership(a, word)
+                assert raw.accepts(word) == a.accepts(word)
 
 
 class TestMembership:
     def test_compliant_word(self):
         a = mutual_exclusion()
-        assert membership(a, (ev("10/1"), ev("01/0")))
+        assert a.accepts((ev("10/1"), ev("01/0")))
 
     def test_simultaneous_a_and_b_violates(self):
         a = mutual_exclusion()
-        assert not membership(a, (ev("11/0"),))
+        assert not a.accepts((ev("11/0"),))
 
     def test_empty_word_always_accepted(self):
-        assert membership(mutual_exclusion(), ())
+        assert mutual_exclusion().accepts(())
 
     def test_width_mismatch(self):
         a = mutual_exclusion()
         with pytest.raises(ValueError, match="width"):
-            membership(a, (ev("1/1"),))
+            a.accepts((ev("1/1"),))
 
     @settings(max_examples=60, deadline=None)
     @given(a=safety_automata())
     def test_prefix_closure(self, a):
         for length in range(4):
             for word in itertools.product(a.alphabet.events, repeat=length):
-                if membership(a, word):
+                if a.accepts(word):
                     for k in range(length):
-                        assert membership(a, word[:k])
+                        assert a.accepts(word[:k])
                     break
 
 

@@ -6,7 +6,6 @@ from syncguard import (
     dead_end_branch,
     dead_end_branch_repaired,
     isomorphic,
-    membership,
     mutual_exclusion,
     normalize,
     parse_automaton,
@@ -111,7 +110,7 @@ class TestSimulate:
         a = mutual_exclusion()
         released = tuple(r.released for r in records)
         for k in range(len(released) + 1):
-            assert membership(a, released[:k])
+            assert a.accepts(released[:k])
 
     def test_byte_identical_reruns(self, s1_file, tmp_path):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"

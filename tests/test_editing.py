@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 from syncguard import (
     LEXICOGRAPHIC,
     NEAREST,
+    POLICIES,
     SEEDED_RANDOM,
     BitVector,
+    Enforcer,
     Event,
     NotEnforceableError,
     always_accepting,
+    at_most_one_tick,
     build_edit_tables,
     canonical_policy,
     compute_edit_sets,
     mutual_exclusion,
     project_inputs,
-    repair_event,
-    word_edit_sets,
 )
 from syncguard.editing import choose_nearest, choose_seeded
 
@@ -81,47 +82,26 @@ class TestEditSets:
             )
             assert sets.safe_inputs[q] == expected_inputs
 
-
-class TestWordEditSets:
-    def test_after_accepted_prefix(self):
-        a = mutual_exclusion()
-        prior = (ev("10/0"), ev("01/0"))
-        # brute force over the input projection: which next inputs keep an
-        # accepting run alive
-        ai = project_inputs(a)
-        expected = frozenset(
-            x
-            for x in a.alphabet.input_events
-            if ai.accepts_inputs([e.input for e in prior] + [x])
-        )
-        assert expected == set_of(["00", "01", "10"])
-        assert word_edit_sets(a, prior) == expected
-
-    def test_violating_prefix_is_rejected(self):
-        a = mutual_exclusion()
-        with pytest.raises(ValueError, match="violation"):
-            word_edit_sets(a, (ev("10/0"), ev("01/1")))
-
-    def test_empty_prefix_with_input_context(self):
-        assert word_edit_sets(mutual_exclusion(), (), bv("01")) == set_of(["0"])
-
-    def test_empty_prefix_matches_initial_location(self):
-        a = mutual_exclusion()
-        sets = compute_edit_sets(a)
-        assert word_edit_sets(a, ()) == sets.safe_inputs[a.initial]
-
     @settings(max_examples=40, deadline=None)
     @given(a=safety_automata())
-    def test_word_and_location_indexing_agree(self, a):
+    def test_sets_agree_with_membership_after_accepted_words(self, a):
+        # the location-indexed sets, read at the location a word reaches,
+        # are the one-event extensions of that word the automaton accepts
         sets = compute_edit_sets(a)
+        alphabet = a.alphabet
         for length in range(3):
-            for word in itertools.product(a.alphabet.events, repeat=length):
+            for word in itertools.product(alphabet.events, repeat=length):
                 if not a.accepts(word):
                     continue
                 q = a.run(word)
-                assert word_edit_sets(a, word) == sets.safe_inputs[q]
-                for x in a.alphabet.input_events:
-                    assert word_edit_sets(a, word, x) == sets.safe_outputs[(q, x)]
+                for x in alphabet.input_events:
+                    outputs = frozenset(
+                        y
+                        for y in alphabet.output_events
+                        if a.accepts(word + (alphabet.event(x, y),))
+                    )
+                    assert sets.safe_outputs[(q, x)] == outputs
+                    assert (x in sets.safe_inputs[q]) == bool(outputs)
 
 
 class TestEditTables:
@@ -154,8 +134,6 @@ class TestEditTables:
                     assert choice in sets.safe_outputs[(q, x)]
 
     def test_dead_location_raises(self):
-        from syncguard import at_most_one_tick
-
         sets = compute_edit_sets(at_most_one_tick())
         with pytest.raises(NotEnforceableError, match="not enforceable"):
             build_edit_tables(sets, LEXICOGRAPHIC)
@@ -171,27 +149,31 @@ class TestRepair:
         # observed 11; distance-1 candidates are {01, 10}; 10 agrees with
         # the observed value of A (declared first), so it wins
         sets = compute_edit_sets(mutual_exclusion())
-        repaired = repair_event(sets, "q0", bv("11"), "input", policy=NEAREST)
-        assert repaired == bv("10")
+        assert choose_nearest(sets.safe_inputs["q0"], bv("11")) == bv("10")
 
     def test_singleton_output_repair(self):
-        sets = compute_edit_sets(mutual_exclusion())
-        repaired = repair_event(
-            sets, "q0", bv("1"), "output", context=bv("01"), policy=NEAREST
-        )
-        assert repaired == bv("0")
+        # given input 01 the only safe output is 0, whatever the policy
+        for policy in POLICIES:
+            enforcer = Enforcer(mutual_exclusion(), policy, seed=11)
+            record = enforcer.tick(bv("01"), lambda _: bv("1"))
+            assert record.released == ev("01/0") and record.output_edited
 
     def test_repair_refuses_safe_observed_event(self):
-        sets = compute_edit_sets(mutual_exclusion())
-        with pytest.raises(ValueError, match="already safe"):
-            repair_event(sets, "q0", bv("10"), "input")
+        a = mutual_exclusion()
+        sets = compute_edit_sets(a)
+        for policy in POLICIES:
+            enforcer = Enforcer(a, policy, seed=11)
+            for x in sets.safe_inputs["q0"]:
+                for y in sets.safe_outputs[("q0", x)]:
+                    record = enforcer.tick(x, lambda _: y)
+                    assert record.released == record.observed == ev(f"{x}/{y}")
+                    assert not record.input_edited and not record.output_edited
 
     def test_repair_on_empty_set_reports_non_enforceable(self):
-        from syncguard import at_most_one_tick
-
-        sets = compute_edit_sets(at_most_one_tick())
-        with pytest.raises(NotEnforceableError, match="runtime"):
-            repair_event(sets, "q1", bv("1"), "input")
+        # q1 of at_most_one_tick has no safe input: no enforcer is built
+        for policy in POLICIES:
+            with pytest.raises(NotEnforceableError, match="q1"):
+                Enforcer(at_most_one_tick(), policy)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -14,7 +14,6 @@ from syncguard import (
     check_enforceability,
     dead_end_branch,
     enforce_word,
-    membership,
     mutual_exclusion,
     non_enforceability_witness,
     oracle_enforce,
@@ -120,7 +119,7 @@ class TestCheckConstraints:
                     x
                     for x in alphabet.input_events
                     if any(
-                        membership(a, released + (alphabet.event(x, y),))
+                        a.accepts(released + (alphabet.event(x, y),))
                         for y in alphabet.output_events
                     )
                 )
@@ -134,7 +133,7 @@ class TestCheckConstraints:
         report = check_constraints(a, NEAREST, max_len=4, enforce=broken)
         assert not report.results["soundness"]
         counterexample = report.counterexamples["soundness"]
-        assert not membership(a, broken(counterexample))
+        assert not a.accepts(broken(counterexample))
         # the offending step pairs B with the output it must not join
         last = counterexample[-1]
         assert last.input.bits[1] == 1 and last.output.bits[0] == 1
@@ -160,37 +159,35 @@ class TestCheckConstraints:
 class TestValidateWitness:
     def test_witness_on_doomed_property(self):
         a = at_most_one_tick()
-        for event in a.alphabet.events:
-            assert validate_witness(a, (ev("1/1"),), event)
+        assert validate_witness(a, (ev("1/1"),))
 
     def test_enforceable_property_has_no_witness(self):
         a = mutual_exclusion()
         for word in ((), (ev("10/1"),), (ev("10/1"), ev("01/0"))):
-            assert not validate_witness(a, word, a.alphabet.events[0])
+            assert not validate_witness(a, word)
 
     def test_empty_witness_with_live_initial_location(self, alpha_11):
         a = always_accepting(alpha_11)
-        assert not validate_witness(a, (), alpha_11.events[0])
+        assert not validate_witness(a, ())
 
     def test_rejected_witness_raises(self):
         a = mutual_exclusion()
         with pytest.raises(ValueError, match="not accepted"):
-            validate_witness(a, (ev("11/0"),), a.alphabet.events[0])
+            validate_witness(a, (ev("11/0"),))
 
     def test_every_dead_family_member_yields_validated_witness(self, dead_family):
         for a in dead_family:
             report = check_enforceability(a)
             witness = non_enforceability_witness(a, report.dead_locations[0])
-            assert membership(a, witness)
-            for event in a.alphabet.events:
-                assert validate_witness(a, witness, event)
+            assert a.accepts(witness)
+            assert validate_witness(a, witness)
 
     def test_dead_end_branch_witness(self):
         a = dead_end_branch()
         report = check_enforceability(a)
         witness = non_enforceability_witness(a, report.dead_locations[0])
         assert witness == (ev("1/1"),)
-        assert validate_witness(a, witness, a.alphabet.events[0])
+        assert validate_witness(a, witness)
 
 
 def test_oracle_step_matches_published_edit_values():

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from syncguard import (
     LEXICOGRAPHIC,
     NEAREST,
+    POLICIES,
     SEEDED_RANDOM,
     BitVector,
     Enforcer,
     Event,
     ScriptedProgram,
     enforce_word,
-    membership,
     mutual_exclusion,
     parse_program,
     project_inputs,
@@ -61,17 +61,6 @@ class TestTick:
         assert record.released == ev("10/1")
         assert not record.input_edited and not record.output_edited
 
-    def test_bound_program(self):
-        enforcer = Enforcer(
-            mutual_exclusion(), NEAREST, program=parse_program(CONSTANT_ONE)
-        )
-        assert enforcer.tick(bv("10")).released == ev("10/1")
-
-    def test_tick_requires_a_program(self):
-        enforcer = Enforcer(mutual_exclusion())
-        with pytest.raises(ValueError, match="program"):
-            enforcer.tick(bv("10"))
-
     def test_repaired_property_constructs(self):
         from syncguard import dead_end_branch_repaired
 
@@ -82,6 +71,61 @@ class TestTick:
         enforcer = Enforcer(mutual_exclusion())
         with pytest.raises(ValueError, match="width"):
             enforcer.tick(bv("10"), lambda x: bv("10"))
+
+
+class TestRejectedTick:
+    """A failed tick raises before the enforcer's state changes."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "inputs",
+        [bv("111"), bv("1"), (1, 1), [1, 0], "10", None],
+        ids=["too-wide", "too-narrow", "tuple", "list", "str", "none"],
+    )
+    def test_bad_input_rejected_before_the_program_runs(self, policy, inputs):
+        enforcer = Enforcer(mutual_exclusion(), policy, seed=1)
+        enforcer.tick(bv("10"), parse_program(CONSTANT_ONE))
+        before = enforcer.snapshot()
+        calls = []
+
+        def program(x):
+            calls.append(x)
+            return bv("0")
+
+        with pytest.raises(ValueError, match="input"):
+            enforcer.tick(inputs, program)
+        assert calls == []
+        assert enforcer.snapshot() == before
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("outputs", [(1,), [0], None], ids=["tuple", "list", "none"])
+    def test_bad_program_output_rejected(self, policy, outputs):
+        enforcer = Enforcer(mutual_exclusion(), policy, seed=1)
+        with pytest.raises(ValueError, match="program output"):
+            enforcer.tick(bv("10"), lambda x: outputs)
+        assert enforcer.snapshot() == (enforcer.automaton.initial, 0)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_program_exception_leaves_the_enforcer_unchanged(self, policy):
+        a = mutual_exclusion()
+        program = parse_program(CONSTANT_ONE)
+        env = random_inputs(a.alphabet, 48, seed=5)
+        expected = Enforcer(a, policy, seed=1).run(env, program)
+
+        def failing(x):
+            raise RuntimeError("program crashed")
+
+        enforcer = Enforcer(a, policy, seed=1)
+        records = []
+        for k, x in enumerate(env):
+            if k % 3 == 0:
+                before = enforcer.snapshot()
+                with pytest.raises(RuntimeError, match="crashed"):
+                    enforcer.tick(x, failing)
+                assert enforcer.snapshot() == before
+            records.append(enforcer.tick(x, program))
+        assert any(r.input_edited for r in records[::3])
+        assert records == expected
 
 
 class TestRun:
@@ -106,7 +150,7 @@ class TestRun:
         released = tuple(r.released for r in records)
         assert len(released) == len(env)
         for k in range(len(released) + 1):
-            assert membership(a, released[:k])
+            assert a.accepts(released[:k])
 
     def test_thousand_tick_run_every_prefix_sound(self):
         a = mutual_exclusion()
@@ -208,7 +252,7 @@ class TestEnforceWord:
     def test_observed_word_satisfying_property_is_untouched(self):
         a = mutual_exclusion()
         observed = (ev("10/1"), ev("01/0"), ev("00/1"))
-        assert membership(a, observed)
+        assert a.accepts(observed)
         for policy in (NEAREST, LEXICOGRAPHIC, SEEDED_RANDOM):
             assert enforce_word(a, observed, policy, seed=4) == observed
 

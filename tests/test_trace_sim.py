@@ -10,7 +10,6 @@ from syncguard import (
     always_accepting,
     bench,
     count_edits,
-    membership,
     mutual_exclusion,
     null_program,
     random_inputs,
@@ -67,7 +66,7 @@ class TestSimulate:
         records = simulate(a, null_output_program(a), SimConfig(ticks=300, seed=11))
         released = tuple(r.released for r in records)
         for k in range(len(released) + 1):
-            assert membership(a, released[:k])
+            assert a.accepts(released[:k])
 
     def test_zero_ticks(self):
         a = mutual_exclusion()
