@@ -12,7 +12,7 @@ location) cannot be repaired at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .automata import SafetyAutomaton, normalize
@@ -77,49 +77,28 @@ def non_enforceability_witness(automaton: SafetyAutomaton, dead_location: str) -
 def transform_non_enforceable(automaton: SafetyAutomaton) -> Optional[SafetyAutomaton]:
     """Shrink the property until every remaining location is live.
 
-    Sweeps accepting locations in name order, merging each dead one into
-    the trap (it is removed and all its incoming transitions are
-    redirected), and repeats until a fixpoint.  Returns ``None`` when the
-    initial location itself becomes dead (the property cannot be made
-    enforceable); otherwise the merged automaton, renormalized, whose
-    language is contained in the original's.  Already-enforceable automata
-    come back unchanged.
+    Repeats the enforceability check on the normalized automaton: while it
+    names dead locations, every transition into one of them is redirected
+    to the trap and the result renormalized, which prunes them.  Returns
+    ``None`` when the initial location is dead (the property cannot be
+    made enforceable); otherwise the enforceable automaton, whose language
+    is contained in the original's.  Already-enforceable automata come
+    back normalized and otherwise unchanged.
     """
-    trap = automaton.violating
-    events = automaton.alphabet.events
-    merged: set[str] = set()
-
-    def is_dead(location: str) -> bool:
-        return all(
-            automaton.delta[(location, e)] == trap or automaton.delta[(location, e)] in merged
-            for e in events
+    automaton = normalize(automaton)
+    while True:
+        dead = set(check_enforceability(automaton).dead_locations)
+        if not dead:
+            return automaton
+        if automaton.initial in dead:
+            return None
+        trap = automaton.violating
+        automaton = normalize(
+            replace(
+                automaton,
+                delta={
+                    key: trap if dst in dead else dst
+                    for key, dst in automaton.delta.items()
+                },
+            )
         )
-
-    changed = True
-    while changed:
-        changed = False
-        for location in automaton.accepting_locations:
-            if location in merged or not is_dead(location):
-                continue
-            if location == automaton.initial:
-                return None
-            merged.add(location)
-            changed = True
-
-    if not merged:
-        return normalize(automaton)
-
-    delta = {
-        (src, event): (trap if dst in merged else dst)
-        for (src, event), dst in automaton.delta.items()
-        if src not in merged
-    }
-    locations = tuple(q for q in automaton.locations if q not in merged)
-    shrunk = SafetyAutomaton(
-        alphabet=automaton.alphabet,
-        locations=locations,
-        initial=automaton.initial,
-        violating=trap,
-        delta=delta,
-    )
-    return normalize(shrunk)

@@ -35,7 +35,7 @@ from .bits import Alphabet, BitVector, Event
 VIOLATING_NAME = "qv"
 
 _TRANSITION_RE = re.compile(r"^(\S+)\s*->\s*(\S+)\s*:\s*([01-]*)\s*/\s*([01-]*)$")
-_HEADER_KEYS = ("inputs", "outputs", "states", "initial", "violating")
+_AUTOMATON_KEYS = ("inputs", "outputs", "states", "initial", "violating")
 
 
 class ParseError(ValueError):
@@ -185,30 +185,11 @@ def parse_automaton(text: str) -> RawAutomaton:
     Nondeterminism and incompleteness are allowed here (``normalize``
     resolves them), but the violating state must already be a trap.
     """
-    headers, transition_lines = _split_document(text)
-    for key in _HEADER_KEYS:
-        if key not in headers:
-            raise ParseError(f"missing '{key}:' declaration")
-
-    alphabet = _parse_interface(headers)
-    states = tuple(headers["states"].split())
-    if not states:
-        raise ParseError("'states:' declares no states")
-    if len(set(states)) != len(states):
-        dup = next(s for s in states if states.count(s) > 1)
-        raise ParseError(f"duplicate state name {dup!r}")
-    initial = _single_state(headers, "initial", states)
+    headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     violating = _single_state(headers, "violating", states)
 
     transitions: set[tuple[str, Event, str]] = set()
-    for lineno, line in transition_lines:
-        match = _TRANSITION_RE.match(line)
-        if match is None:
-            raise ParseError(f"line {lineno}: cannot parse transition {line!r}")
-        src, dst, in_pat, out_pat = match.groups()
-        for name in (src, dst):
-            if name not in states:
-                raise ParseError(f"line {lineno}: unknown state {name!r}")
+    for lineno, src, dst, in_pat, out_pat in lines:
         try:
             events = alphabet.expand_event_pattern(f"{in_pat}/{out_pat}")
         except ValueError as exc:
@@ -221,7 +202,17 @@ def parse_automaton(text: str) -> RawAutomaton:
     return RawAutomaton(alphabet, states, initial, violating, frozenset(transitions))
 
 
-def _split_document(text: str) -> tuple[dict[str, str], list[tuple[int, str]]]:
+def _parse_document(
+    text: str, keys: tuple[str, ...]
+) -> tuple[dict[str, str], Alphabet, tuple[str, ...], str, list[tuple[int, str, str, str, str]]]:
+    """The grammar automaton and program documents share.
+
+    ``keys`` are the document kind's declarations, all required; every
+    other non-blank line must be a transition ``src -> dst : inpat /
+    outpat`` between declared states.  Returns the declarations, the
+    interface, the states, the initial state and the transitions as
+    ``(lineno, src, dst, inpat, outpat)``; the caller reads the patterns.
+    """
     headers: dict[str, str] = {}
     transition_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -230,23 +221,39 @@ def _split_document(text: str) -> tuple[dict[str, str], list[tuple[int, str]]]:
             continue
         key, sep, rest = line.partition(":")
         key = key.strip()
-        if sep and key in _HEADER_KEYS and "->" not in key:
+        if sep and key in keys:
             if key in headers:
                 raise ParseError(f"line {lineno}: duplicate '{key}:' declaration")
             headers[key] = rest.strip()
         else:
             transition_lines.append((lineno, line))
-    return headers, transition_lines
+    for key in keys:
+        if key not in headers:
+            raise ParseError(f"missing '{key}:' declaration")
 
-
-def _parse_interface(headers: dict[str, str]) -> Alphabet:
-    inputs = tuple(headers["inputs"].split())
-    outputs = tuple(headers["outputs"].split())
-    null = not inputs or not outputs
     try:
-        return Alphabet(inputs, outputs, null_interface=null)
+        alphabet = Alphabet(tuple(headers["inputs"].split()), tuple(headers["outputs"].split()))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    states = tuple(headers["states"].split())
+    if not states:
+        raise ParseError("'states:' declares no states")
+    if len(set(states)) != len(states):
+        dup = next(s for s in states if states.count(s) > 1)
+        raise ParseError(f"duplicate state name {dup!r}")
+    initial = _single_state(headers, "initial", states)
+
+    transitions = []
+    for lineno, line in transition_lines:
+        match = _TRANSITION_RE.match(line)
+        if match is None:
+            raise ParseError(f"line {lineno}: cannot parse transition {line!r}")
+        src, dst, in_pat, out_pat = match.groups()
+        for name in (src, dst):
+            if name not in states:
+                raise ParseError(f"line {lineno}: unknown state {name!r}")
+        transitions.append((lineno, src, dst, in_pat, out_pat))
+    return headers, alphabet, states, initial, transitions
 
 
 def _single_state(headers: dict[str, str], key: str, states: tuple[str, ...]) -> str:

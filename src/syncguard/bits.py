@@ -10,7 +10,7 @@ word is a plain tuple of events.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -126,13 +126,13 @@ def format_word(word: Sequence[Event]) -> str:
 class Alphabet:
     """Declared interface: ordered input and output variable names.
 
-    Both lists must be non-empty unless ``null_interface`` is set, which
-    permits a zero-variable interface (used by the Null benchmark).
+    Names are non-empty and distinct across both lists.  Either list may be
+    empty: a side with no variables has the single zero-width valuation,
+    and :meth:`null` (no variables at all) has exactly one event.
     """
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    null_interface: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -144,15 +144,10 @@ class Alphabet:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-        if not self.null_interface and (not self.inputs or not self.outputs):
-            raise ValueError(
-                "inputs and outputs must be non-empty "
-                "(pass null_interface=True for a null interface)"
-            )
 
     @classmethod
     def null(cls) -> "Alphabet":
-        return cls((), (), null_interface=True)
+        return cls((), ())
 
     # -- enumeration, in numeric order of the rendered bit string --
 

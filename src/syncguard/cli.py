@@ -202,14 +202,31 @@ def _resolve_enforceable(automaton: SafetyAutomaton, auto_transform: bool) -> Op
     return repaired
 
 
-def _resolve_program(spec: str, automaton: SafetyAutomaton):
+def _read_trace_file(path: str):
+    with open(path, encoding="utf-8") as handle:
+        return read_trace(handle.read())
+
+
+def _check_widths(vectors, width: int, side: str, path: str) -> None:
+    for t, vector in enumerate(vectors):
+        if len(vector) != width:
+            raise ValueError(
+                f"{path}: tick {t} {side} {vector} has {len(vector)} bits, expected {width}"
+            )
+
+
+def _resolve_program(spec: str, automaton: SafetyAutomaton, ticks: int):
+    """Load the program for a run of ``ticks`` ticks; a script must cover them."""
     alphabet = automaton.alphabet
     if spec.startswith("const:"):
         return ConstantProgram(alphabet, alphabet.output_vector(spec[len("const:"):]))
     if spec.startswith("scripted:"):
-        with open(spec[len("scripted:"):], encoding="utf-8") as handle:
-            records = read_trace(handle.read())
-        return ScriptedProgram([r.observed.output for r in records])
+        path = spec[len("scripted:"):]
+        outputs = [r.observed.output for r in _read_trace_file(path)]
+        if len(outputs) < ticks:
+            raise ValueError(f"{path}: script has {len(outputs)} outputs, the run needs {ticks}")
+        _check_widths(outputs, len(alphabet.outputs), "output", path)
+        return ScriptedProgram(outputs)
     if spec.startswith("synthetic:"):
         fields = spec.split(":")[1:]
         width = int(fields[0])
@@ -229,15 +246,16 @@ def _cmd_simulate(args) -> int:
     automaton = _resolve_enforceable(_load_automaton(args.automaton), args.auto_transform)
     if automaton is None:
         return 1
-    program = _resolve_program(args.program, automaton)
     config = SimConfig(ticks=args.ticks, seed=args.seed, policy=canonical_policy(args.policy))
     if args.env == "random":
         env = None
     elif args.env.startswith("trace:"):
-        with open(args.env[len("trace:"):], encoding="utf-8") as handle:
-            env = [r.observed.input for r in read_trace(handle.read())]
+        path = args.env[len("trace:"):]
+        env = [r.observed.input for r in _read_trace_file(path)]
+        _check_widths(env, len(automaton.alphabet.inputs), "input", path)
     else:
         raise ValueError(f"unknown environment spec {args.env!r}")
+    program = _resolve_program(args.program, automaton, config.ticks if env is None else len(env))
     records = simulate(automaton, program, config, env)
     header = [
         f"syncguard simulate policy={config.policy} seed={config.seed} "
@@ -288,10 +306,10 @@ def _cmd_bench(args) -> int:
     automaton = _resolve_enforceable(_load_automaton(args.automaton), args.auto_transform)
     if automaton is None:
         return 1
-    program = _resolve_program(args.program, automaton)
     config = SimConfig(
         ticks=args.ticks, runs=args.runs, seed=args.seed, policy=canonical_policy(args.policy)
     )
+    program = _resolve_program(args.program, automaton, config.ticks)
     result = bench(automaton, program, config)
     print(result)
     return 0

@@ -153,9 +153,11 @@ def check_constraints(
 
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
-    observed words.  Raises when the enumeration would exceed ``budget``
-    words.
+    observed words.  Raises ``ValueError`` for a negative ``max_len`` or
+    when the enumeration would exceed ``budget`` words.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     policy = canonical_policy(policy)
     alphabet = automaton.alphabet
     n_events = len(alphabet.events)

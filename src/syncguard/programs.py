@@ -5,9 +5,10 @@ vector, invoked exactly once per tick; internal state is allowed.
 Programs used in replay comparisons and benchmarks must also offer
 ``reset()``.
 
-The document format for Mealy programs mirrors the automaton format minus
-the ``violating:`` line; transitions read ``src -> dst : inpat / outbits``
-where the output must be concrete (a Mealy machine is a function)::
+The document format for Mealy programs is the automaton format without
+the ``violating:`` line, which is rejected; transitions read ``src -> dst :
+inpat / outbits`` where the output must be concrete (a Mealy machine is a
+function)::
 
     inputs: A B
     outputs: O
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Protocol, Sequence
 
-from .automata import ParseError, _split_document, _parse_interface, _single_state
+from .automata import ParseError, _parse_document
 from .bits import Alphabet, BitVector
 
 _MEALY_HEADER_KEYS = ("inputs", "outputs", "states", "initial")
@@ -66,34 +67,12 @@ class MealyProgram:
 
 def parse_program(text: str) -> MealyProgram:
     """Parse a Mealy program document (format in the module docstring)."""
-    headers, transition_lines = _split_document(text)
-    for key in _MEALY_HEADER_KEYS:
-        if key not in headers:
-            raise ParseError(f"missing '{key}:' declaration")
-    alphabet = _parse_interface(headers)
-    states = tuple(headers["states"].split())
-    if not states:
-        raise ParseError("'states:' declares no states")
-    if len(set(states)) != len(states):
-        raise ParseError("duplicate state name")
-    initial = _single_state(headers, "initial", states)
-
+    _, alphabet, states, initial, lines = _parse_document(text, _MEALY_HEADER_KEYS)
     transitions: dict[tuple[str, BitVector], tuple[str, BitVector]] = {}
-    for lineno, line in transition_lines:
-        head, sep, label = line.partition(":")
-        parts = head.split("->")
-        if not sep or len(parts) != 2:
-            raise ParseError(f"line {lineno}: cannot parse transition {line!r}")
-        src, dst = parts[0].strip(), parts[1].strip()
-        for name in (src, dst):
-            if name not in states:
-                raise ParseError(f"line {lineno}: unknown state {name!r}")
-        in_pat, slash, out_bits = label.partition("/")
-        if not slash:
-            raise ParseError(f"line {lineno}: expected 'inpat / outbits'")
+    for lineno, src, dst, in_pat, out_bits in lines:
         try:
-            xs = alphabet.expand_input_pattern(in_pat.strip())
-            y = alphabet.output_vector(out_bits.strip())
+            xs = alphabet.expand_input_pattern(in_pat)
+            y = alphabet.output_vector(out_bits)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         for x in xs:

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from syncguard import (
     NotEnforceableError,
+    SafetyAutomaton,
     always_accepting,
     at_most_one_tick,
     check_enforceability,
@@ -13,10 +16,35 @@ from syncguard import (
     isomorphic,
     mutual_exclusion,
     non_enforceability_witness,
+    render_automaton,
     transform_non_enforceable,
 )
 
 from .strategies import safety_automata
+
+# SHA-256 over the rendered transform of every automaton in the exhaustive
+# family followed by the 500 automata of ``_unnormalized_automata`` over
+# the two-input, one-output alphabet.
+TRANSFORM_DIGEST = "89389b230ed5b6e90e0f2427856ec7d33c5e0f9e616ae57f31a7bc5630d5e04e"
+
+
+def _unnormalized_automata(alphabet, count=500, seed=7):
+    """Seeded automata with 1-6 accepting states, left as generated: names
+    ``s0 ...`` plus ``bad``, unreachable states kept."""
+    rng = random.Random(seed)
+    events = alphabet.events
+    automata = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        states = tuple(f"s{i}" for i in range(n)) + ("bad",)
+        delta = {("bad", e): "bad" for e in events}
+        for src in states[:-1]:
+            # a per-state trap bias leaves dead locations, some in chains
+            bias = rng.choice((0.0, 0.5, 0.9, 1.0))
+            for e in events:
+                delta[(src, e)] = "bad" if rng.random() < bias else rng.choice(states[:-1])
+        automata.append(SafetyAutomaton(alphabet, states, "s0", "bad", delta))
+    return automata
 
 
 class TestEnforceability:
@@ -105,6 +133,14 @@ class TestTransform:
                 for word in itertools.product(a.alphabet.events, repeat=length):
                     if result.accepts(word):
                         assert a.accepts(word)
+
+    def test_output_is_pinned(self, exhaustive_family, alpha_21):
+        digest = hashlib.sha256()
+        for a in list(exhaustive_family) + _unnormalized_automata(alpha_21):
+            result = transform_non_enforceable(a)
+            text = "NONE\n" if result is None else render_automaton(result)
+            digest.update(text.encode())
+        assert digest.hexdigest() == TRANSFORM_DIGEST
 
     @settings(max_examples=50, deadline=None)
     @given(a=safety_automata())

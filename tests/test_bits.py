@@ -44,8 +44,7 @@ def test_alphabet_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         Alphabet(("A",), ("A",))  # clash across lists
     with pytest.raises(ValueError):
-        Alphabet((), ("R",))
-    # explicitly flagged null interface is fine
+        Alphabet(("",), ("R",))
     null = Alphabet.null()
     assert null.events == (Event(BitVector(()), BitVector(())),)
 

@@ -154,6 +154,40 @@ class TestSimulate:
         assert code == 0
         assert read_trace(first.read_text()) == read_trace(second.read_text())
 
+    @pytest.fixture
+    def short_trace(self, s1_file, tmp_path):
+        path = tmp_path / "short.txt"
+        main(["simulate", s1_file, "const:1", "--ticks", "3", "--out", str(path)])
+        return path
+
+    def test_short_script_rejected_before_any_tick(self, s1_file, short_trace, capsys):
+        capsys.readouterr()
+        for argv in (
+            ["simulate", s1_file, f"scripted:{short_trace}", "--ticks", "10"],
+            ["bench", s1_file, f"scripted:{short_trace}", "--ticks", "10", "--runs", "1"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "script has 3 outputs, the run needs 10" in captured.err
+        # a script as long as the run is accepted
+        argv = ["simulate", s1_file, f"scripted:{short_trace}", "--ticks", "3"]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "record, role",
+        [("00/10\t00/10\t0\t0\tq0", "program"), ("001/1\t001/1\t0\t0\tq0", "env")],
+        ids=["program", "env"],
+    )
+    def test_trace_widths_checked_on_load(self, s1_file, tmp_path, capsys, record, role):
+        path = tmp_path / "wide.txt"
+        path.write_text("0\t00/0\t00/0\t0\t0\tq0\n1\t" + record + "\n")
+        program = f"scripted:{path}" if role == "program" else "const:1"
+        env = f"trace:{path}" if role == "env" else "random"
+        argv = ["simulate", s1_file, program, "--env", env, "--ticks", "2"]
+        assert main(argv) == 2
+        assert f"{path}: tick 1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_constraints_pass(self, s1_file, capsys):
@@ -165,6 +199,12 @@ class TestVerify:
 
     def test_non_enforceable_rejected(self, doomed_file, capsys):
         assert main(["verify", doomed_file]) == 1
+
+    def test_negative_max_len_exits_two(self, s1_file, capsys):
+        assert main(["verify", s1_file, "--max-len", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_len" in captured.err
 
 
 def test_bench_prints_result(s1_file, capsys):

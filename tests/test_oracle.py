@@ -149,6 +149,10 @@ class TestCheckConstraints:
         with pytest.raises(ValueError, match="budget"):
             check_constraints(mutual_exclusion(), NEAREST, max_len=8, budget=10**6)
 
+    def test_negative_max_len_rejected(self):
+        with pytest.raises(ValueError, match="max_len"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=-1)
+
     def test_rejects_dead_automata(self):
         from syncguard import NotEnforceableError
 

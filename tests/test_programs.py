@@ -73,6 +73,26 @@ class TestMealyParsing:
                 """
             )
 
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("states: s s", "duplicate state name 's'"),
+            ("initial: nope", "undeclared"),
+            ("s -> t : - / 0", "unknown state"),
+            ("s -> s : -- / 0", "pattern"),
+            ("violating: s", "transition"),
+        ],
+    )
+    def test_malformed_documents(self, mutation, message):
+        lines = ["inputs: A", "outputs: B", "states: s", "initial: s", "s -> s : - / 0"]
+        key = mutation.split(":")[0] + ":"
+        if any(line.startswith(key) for line in lines):
+            lines = [mutation if line.startswith(key) else line for line in lines]
+        else:
+            lines.append(mutation)
+        with pytest.raises(ParseError, match=message):
+            parse_program("\n".join(lines))
+
 
 class TestAbo:
     def test_emits_once_when_both_seen(self):

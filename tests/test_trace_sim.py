@@ -90,7 +90,7 @@ class TestSimulate:
 
 
 class TestBench:
-    def test_null_interface_overhead_small_and_positive(self):
+    def test_null_alphabet_overhead_small_and_positive(self):
         a = always_accepting(Alphabet.null())
         result = bench(a, null_program(), SimConfig(ticks=400, runs=3, seed=0))
         assert result.increase_percent > 0
