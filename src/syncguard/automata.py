@@ -168,13 +168,6 @@ class InputAutomaton:
         except KeyError:
             raise ValueError(f"input width mismatch: {inputs}") from None
 
-    def accepts_inputs(self, input_word: Sequence[BitVector]) -> bool:
-        """Some run over the input word ends in a non-violating location."""
-        frontier = {self.initial}
-        for x in input_word:
-            frontier = {d for s in frontier for d in self.successors(s, x)}
-        return any(s != self.violating for s in frontier)
-
     def safe_successor_exists(self, location: str, inputs: BitVector) -> bool:
         return any(d != self.violating for d in self.successors(location, inputs))
 

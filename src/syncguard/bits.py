@@ -118,8 +118,16 @@ def word_outputs(word: Sequence[Event]) -> tuple[BitVector, ...]:
     return tuple(e.output for e in word)
 
 
+EMPTY = "<empty>"
+
+
 def format_word(word: Sequence[Event]) -> str:
-    return " ".join(str(e) for e in word) if word else "<empty>"
+    return " ".join(str(e) for e in word) if word else EMPTY
+
+
+def format_vector(vector: BitVector) -> str:
+    """The bit string, or ``<empty>`` for the zero-width valuation."""
+    return str(vector) or EMPTY
 
 
 @dataclass(frozen=True)

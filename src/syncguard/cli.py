@@ -25,7 +25,7 @@ from .automata import (
     render_automaton,
     render_input_automaton,
 )
-from .bits import format_word
+from .bits import format_vector, format_word
 from .editing import NEAREST, build_edit_tables, canonical_policy, compute_edit_sets
 from .oracle import check_constraints
 from .programs import (
@@ -92,7 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the enforcer over an environment")
     p.add_argument("automaton")
     p.add_argument("program", help="program file, const:BITS, scripted:TRACE, or synthetic:WIDTH")
-    p.add_argument("--ticks", type=int, default=1000)
+    p.add_argument(
+        "--ticks", type=int, default=None,
+        help="ticks to run (default: 1000, or the whole --env trace)",
+    )
     p.add_argument("--env", default="random", help="'random' or 'trace:FILE'")
     p.add_argument("--auto-transform", action="store_true", help="repair the property first if needed")
     common(p, "policy", "seed", "out")
@@ -168,18 +171,18 @@ def _cmd_explain(args) -> int:
         tables = build_edit_tables(sets, policy, args.seed)
 
     def render_set(vectors) -> str:
-        return "{" + " ".join(str(v) for v in sorted(vectors)) + "}"
+        return "{" + " ".join(format_vector(v) for v in sorted(vectors)) + "}"
 
     lines = [f"policy: {policy}  seed: {args.seed}"]
     if policy == NEAREST:
         lines.append("(nearest repairs depend on the observed event; no static table)")
     for q in automaton.accepting_locations:
-        choice = f"  choose {tables.input_choice[q]}" if tables else ""
+        choice = f"  choose {format_vector(tables.input_choice[q])}" if tables else ""
         lines.append(f"{q}: safe inputs {render_set(sets.safe_inputs[q])}{choice}")
         for x in sorted(sets.safe_inputs[q]):
-            choice = f"  choose {tables.output_choice[(q, x)]}" if tables else ""
+            choice = f"  choose {format_vector(tables.output_choice[(q, x)])}" if tables else ""
             lines.append(
-                f"{q} given {x}: safe outputs "
+                f"{q} given {format_vector(x)}: safe outputs "
                 f"{render_set(sets.safe_outputs[(q, x)])}{choice}"
             )
     _write_output(args.out, "\n".join(lines) + "\n")
@@ -246,16 +249,25 @@ def _cmd_simulate(args) -> int:
     automaton = _resolve_enforceable(_load_automaton(args.automaton), args.auto_transform)
     if automaton is None:
         return 1
-    config = SimConfig(ticks=args.ticks, seed=args.seed, policy=canonical_policy(args.policy))
+    ticks = args.ticks
     if args.env == "random":
         env = None
+        if ticks is None:
+            ticks = 1000
     elif args.env.startswith("trace:"):
         path = args.env[len("trace:"):]
         env = [r.observed.input for r in _read_trace_file(path)]
         _check_widths(env, len(automaton.alphabet.inputs), "input", path)
+        if ticks is None:
+            ticks = len(env)
+        elif ticks > len(env):
+            raise ValueError(f"{path}: trace has {len(env)} records, --ticks asks for {ticks}")
     else:
         raise ValueError(f"unknown environment spec {args.env!r}")
-    program = _resolve_program(args.program, automaton, config.ticks if env is None else len(env))
+    config = SimConfig(ticks=ticks, seed=args.seed, policy=canonical_policy(args.policy))
+    if env is not None:
+        env = env[: config.ticks]
+    program = _resolve_program(args.program, automaton, config.ticks)
     records = simulate(automaton, program, config, env)
     header = [
         f"syncguard simulate policy={config.policy} seed={config.seed} "

@@ -1,12 +1,13 @@
 """Brute-force reference semantics and constraint checking.
 
-Everything here recomputes from words and membership queries, never from
-the runtime's tracked location, so a state-tracking bug in the runtime
-cannot hide behind itself:
+Everything here is computed from the automaton alone: its initial
+location and :meth:`SafetyAutomaton.step`.  Locations are carried along
+words (a word's location is one ``step`` from its parent's), but never
+taken from the runtime's tracked location, its edit sets or its tables, so
+a state-tracking bug in the runtime cannot hide behind itself:
 
 * :func:`oracle_enforce` rebuilds the released word step by step, deciding
-  each edit from membership of candidate extensions of the released
-  prefix.
+  each edit from the one-event extensions of the released prefix.
 * :func:`check_constraints` enumerates every observed word up to a length
   bound and checks the six defining enforcer constraints literally as
   quantified, reporting the first counterexample per constraint.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .automata import SafetyAutomaton, project_inputs
-from .bits import Event, Word, word_inputs
+from .bits import BitVector, Event, Word, word_inputs
 from .editing import NEAREST, canonical_policy, select
 from .runtime import Enforcer
 from .programs import ScriptedProgram
@@ -45,36 +46,30 @@ def oracle_step(
 ) -> Event:
     """Event released for one observed event after a given released prefix.
 
-    The input is kept iff some output would extend the released prefix
-    into an accepted word (by the projection lemma this is exactly the
-    safe-input test the runtime performs on its tracked location); the
-    output is kept iff the extension itself is accepted.  Repairs use the
-    same selection policy as the runtime, applied to sets recomputed here
-    from membership alone.
+    The prefix is run through the automaton once; each candidate event is
+    then one ``step`` from the location it reaches.  The input is kept iff
+    some output extends the released prefix into an accepted word (by the
+    projection lemma this is exactly the safe-input test the runtime
+    performs on its tracked location); the output is kept iff the
+    extension itself is accepted.  Repairs use the same selection policy as
+    the runtime, applied to sets recomputed here from the automaton alone.
     """
-    alphabet = automaton.alphabet
-    safe_inputs = frozenset(
-        x
-        for x in alphabet.input_events
-        if any(
-            automaton.accepts(released + (alphabet.event(x, y),))
-            for y in alphabet.output_events
-        )
-    )
-    if observed.input in safe_inputs:
+    location = automaton.run(released)
+    trap = automaton.violating
+    safe: dict[BitVector, set[BitVector]] = {}
+    for event in automaton.alphabet.events:
+        if automaton.step(location, event) != trap:
+            safe.setdefault(event.input, set()).add(event.output)
+    if observed.input in safe:
         fixed_input = observed.input
     else:
-        fixed_input = select(safe_inputs, observed.input, policy, seed)
-    safe_outputs = frozenset(
-        y
-        for y in alphabet.output_events
-        if automaton.accepts(released + (alphabet.event(fixed_input, y),))
-    )
+        fixed_input = select(frozenset(safe), observed.input, policy, seed)
+    safe_outputs = frozenset(safe.get(fixed_input, ()))
     if observed.output in safe_outputs:
         fixed_output = observed.output
     else:
         fixed_output = select(safe_outputs, observed.output, policy, seed)
-    return alphabet.event(fixed_input, fixed_output)
+    return automaton.alphabet.event(fixed_input, fixed_output)
 
 
 def oracle_enforce(
@@ -151,10 +146,21 @@ def check_constraints(
     * weak transparency: an observed word that is itself accepted is
       released unchanged.
 
+    The walk carries, per word, the automaton location of the observed
+    word, the location of the released word and the input-projection
+    frontier of the released word's inputs, each one ``step`` from its
+    parent's, so every constraint is a lookup.  A released word that does
+    not extend its parent's by one event (only a custom ``enforce`` makes
+    one) is run again from the initial location.  Nothing is read from the
+    runtime but the released words.  Monotonicity is checked against the
+    parent alone: the first word whose released word misses an ancestor's
+    also misses its parent's, since the parent's extends every ancestor's.
+
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
-    observed words.  Raises ``ValueError`` for a negative ``max_len`` or
-    when the enumeration would exceed ``budget`` words.
+    observed words.  Raises ``ValueError`` for a negative ``max_len``, when
+    the enumeration would exceed ``budget`` words, or when a released
+    event is not in the alphabet.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -167,6 +173,8 @@ def check_constraints(
 
     input_automaton = project_inputs(automaton)
     runtime = Enforcer(automaton, policy, seed) if enforce is None else None
+    step = automaton.step
+    trap = automaton.violating
 
     results = {name: True for name in CONSTRAINTS}
     counterexamples: dict[str, Word] = {}
@@ -186,47 +194,55 @@ def check_constraints(
         record = runtime.tick(event.input, ScriptedProgram([event.output]))
         return parent_released + (record.released,), runtime.snapshot()
 
-    def visit(observed: Word, released: Word, snap, ancestors: list[Word]) -> None:
+    def advance(frontier, inputs) -> frozenset[str]:
+        """Input-projection locations reachable from ``frontier`` over ``inputs``."""
+        for x in inputs:
+            frontier = frozenset(d for s in frontier for d in input_automaton.successors(s, x))
+        return frontier
+
+    def visit(observed: Word, observed_at: str, released: Word, snap, parent) -> None:
+        """``parent`` is the parent word's (released word, its location, its
+        input frontier), or None at the root."""
         nonlocal words
         words += 1
-        if not automaton.accepts(released):
+        extends = (
+            parent is not None
+            and len(released) == len(parent[0]) + 1
+            and released[:-1] == parent[0]
+        )
+        if extends:
+            new = released[-1]
+            released_at = step(parent[1], new)
+            frontier = advance(parent[2], (new.input,))
+        else:
+            released_at = automaton.run(released)
+            frontier = advance(frozenset({automaton.initial}), word_inputs(released))
+        if released_at == trap:
             fail("soundness", observed)
         if len(released) != len(observed):
             fail("instantaneity", observed)
-        for ancestor in ancestors:
-            if released[: len(ancestor)] != ancestor:
-                fail("monotonicity", observed)
-                break
-        if automaton.accepts(observed) and released != observed:
+        if observed_at != trap and released != observed:
             fail("weak_transparency", observed)
-        if observed:
-            parent_released = ancestors[-1]
+        if parent is not None:
+            parent_released, parent_at, _ = parent
+            if released[: len(parent_released)] != parent_released:
+                fail("monotonicity", observed)
             event = observed[-1]
-            kept = parent_released + (event,)
-            if automaton.accepts(kept) and released != kept:
+            if step(parent_at, event) != trap and not (extends and released[-1] == event):
                 fail("transparency", observed)
             # causality: the new event decomposes into a safe input choice
             # followed by a safe output choice
-            if len(released) == len(parent_released) + 1 and released[:-1] == parent_released:
-                new = released[-1]
-                input_word = word_inputs(parent_released) + (new.input,)
-                if not input_automaton.accepts_inputs(input_word):
-                    fail("causality", observed)
-                elif not automaton.accepts(parent_released + (new,)):
-                    fail("causality", observed)
-            else:
+            if not extends or released_at == trap or all(s == trap for s in frontier):
                 fail("causality", observed)
         if len(observed) < max_len:
-            ancestors.append(released)
+            here = (released, released_at, frontier)
             for event in alphabet.events:
-                child_released, child_snap = release_child(
-                    observed + (event,), released, snap
-                )
-                visit(observed + (event,), child_released, child_snap, ancestors)
-            ancestors.pop()
+                child = observed + (event,)
+                child_released, child_snap = release_child(child, released, snap)
+                visit(child, step(observed_at, event), child_released, child_snap, here)
 
     root_released = enforce(()) if enforce is not None else ()
     root_snap = runtime.snapshot() if runtime is not None else None
-    visit((), root_released, root_snap, [])
+    visit((), automaton.initial, root_released, root_snap, None)
 
     return ConstraintReport(results, counterexamples, words)

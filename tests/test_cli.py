@@ -94,6 +94,17 @@ class TestExplain:
         assert "safe inputs {00 01 10}" in out
         assert "choose" not in out
 
+    def test_zero_width_inputs_render_as_empty(self, tmp_path, capsys):
+        path = tmp_path / "no_inputs.aut"
+        path.write_text(
+            "inputs:\noutputs: R\nstates: q0 qv\ninitial: q0\nviolating: qv\n"
+            "q0 -> q0 : /0\nq0 -> qv : /1\n"
+        )
+        assert main(["explain", str(path), "--policy", "lex"]) == 0
+        out = capsys.readouterr().out
+        assert "q0: safe inputs {<empty>}  choose <empty>\n" in out
+        assert "q0 given <empty>: safe outputs {0}  choose 0\n" in out
+
 
 class TestSimulate:
     def test_writes_trace_and_summary(self, s1_file, tmp_path, capsys):
@@ -153,6 +164,38 @@ class TestSimulate:
         )
         assert code == 0
         assert read_trace(first.read_text()) == read_trace(second.read_text())
+
+    @pytest.fixture
+    def trace_30(self, s1_file, tmp_path):
+        path = tmp_path / "thirty.txt"
+        main(["simulate", s1_file, "const:1", "--ticks", "30", "--seed", "4",
+              "--out", str(path)])
+        return path
+
+    def test_trace_environment_runs_whole_trace_by_default(self, s1_file, trace_30, capsys):
+        capsys.readouterr()
+        assert main(["simulate", s1_file, "const:1", "--env", f"trace:{trace_30}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# syncguard simulate policy=nearest seed=0 ticks=30 ")
+        assert "ticks=30 " in captured.err
+
+    def test_ticks_cuts_trace_environment(self, s1_file, trace_30, tmp_path, capsys):
+        out = tmp_path / "five.txt"
+        argv = ["simulate", s1_file, "const:1", "--env", f"trace:{trace_30}",
+                "--ticks", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert "ticks=5 " in out.read_text().splitlines()[0]
+        records = read_trace(out.read_text())
+        whole = read_trace(trace_30.read_text())
+        assert [r.observed.input for r in records] == [r.observed.input for r in whole[:5]]
+
+    def test_ticks_beyond_trace_rejected_before_any_tick(self, s1_file, trace_30, capsys):
+        capsys.readouterr()
+        argv = ["simulate", s1_file, "const:1", "--env", f"trace:{trace_30}", "--ticks", "31"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{trace_30}: trace has 30 records, --ticks asks for 31" in captured.err
 
     @pytest.fixture
     def short_trace(self, s1_file, tmp_path):

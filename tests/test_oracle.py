@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -19,6 +20,7 @@ from syncguard import (
     oracle_enforce,
     validate_witness,
 )
+from syncguard.bits import format_word
 from syncguard.editing import choose_nearest
 from syncguard.oracle import oracle_step
 
@@ -153,11 +155,69 @@ class TestCheckConstraints:
         with pytest.raises(ValueError, match="max_len"):
             check_constraints(mutual_exclusion(), NEAREST, max_len=-1)
 
+    def test_foreign_event_from_custom_enforce_raises(self):
+        a = mutual_exclusion()
+        wide = ev("101/1")
+
+        def wrong_width(observed):
+            return tuple(wide for _ in observed)
+
+        with pytest.raises(ValueError, match="width"):
+            check_constraints(a, NEAREST, max_len=2, enforce=wrong_width)
+
     def test_rejects_dead_automata(self):
         from syncguard import NotEnforceableError
 
         with pytest.raises(NotEnforceableError):
             check_constraints(at_most_one_tick(), NEAREST, max_len=2)
+
+
+def _report_text(report):
+    lines = [str(report)]
+    lines += [
+        f"{name}: {format_word(word)}"
+        for name, word in sorted(report.counterexamples.items())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _broken_enforcers(a):
+    """Enforcement functions that each break some constraints on ``a``."""
+    constant = a.alphabet.events[-1]
+    return {
+        "identity": lambda w: w,
+        "drop_last": lambda w: w[:-1],
+        "reversed": lambda w: w[::-1],
+        "constant": lambda w: (constant,) * len(w),
+        "first_then_echo": lambda w: oracle_enforce(a, w[:1]) + w[1:],
+    }
+
+
+CORPUS_DIGEST = "c157b4ec1131694f830ebd4657d6f1f814d42ad5c5657ef80ad5159ef188cfed"
+BROKEN_DIGEST = "b9a93b55c37d7c6517a74f2b61120ed0f472e49a73c18ff512fdd7390e243c07"
+
+
+class TestPinnedReports:
+    """SHA-256 of ``check_constraints`` reports (verdicts, word counts and
+    first counterexamples), recorded before the oracle carried locations
+    along its word tree; the digests must not move."""
+
+    def test_corpus_reports(self, enforceable_family, random_family):
+        digest = hashlib.sha256()
+        for a in enforceable_family[::50] + random_family[::5]:
+            for policy in POLICIES:
+                report = check_constraints(a, policy, max_len=4, seed=7)
+                digest.update(_report_text(report).encode())
+        assert digest.hexdigest() == CORPUS_DIGEST
+
+    def test_broken_enforcer_reports(self, enforceable_family, random_family):
+        digest = hashlib.sha256()
+        automata = [mutual_exclusion()] + enforceable_family[::250] + random_family[::20]
+        for a in automata:
+            for name, enforce in _broken_enforcers(a).items():
+                report = check_constraints(a, NEAREST, max_len=3, enforce=enforce)
+                digest.update(f"{name}\n{_report_text(report)}".encode())
+        assert digest.hexdigest() == BROKEN_DIGEST
 
 
 class TestValidateWitness:
