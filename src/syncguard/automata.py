@@ -28,6 +28,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import or_
 from typing import Sequence, Union
 
 from .bits import Alphabet, BitVector, Event
@@ -169,7 +171,7 @@ class InputAutomaton:
             raise ValueError(f"input width mismatch: {inputs}") from None
 
     def safe_successor_exists(self, location: str, inputs: BitVector) -> bool:
-        return any(d != self.violating for d in self.successors(location, inputs))
+        return not self.successors(location, inputs) <= {self.violating}
 
 
 def parse_automaton(text: str) -> RawAutomaton:
@@ -266,9 +268,15 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     into the single trap, and missing transitions are directed there.
     Locations unreachable from the initial one disappear (the trap is always
     retained as the completion target).  Accepting locations are named
-    ``q0, q1, ...`` in breadth-first discovery order; the trap is named
-    last.  Raises :class:`EmptyPropertyError` if the initial state is
-    violating (the property would reject the empty word).
+    ``q0, q1, ...`` in breadth-first discovery order, visiting events in
+    ``alphabet.events`` order; the trap is named last.  Raises
+    :class:`EmptyPropertyError` if the initial state is violating (the
+    property would reject the empty word).
+
+    A set of raw states is an int bitmask (bit i for ``states[i]``, the
+    violating state included, so {s} and {s, violating} are distinct
+    macro-states), and each raw state's successors are a row of masks,
+    one per event index; a macro-state's row is the OR of its members'.
     """
     raw = automaton.as_raw() if isinstance(automaton, SafetyAutomaton) else automaton
     if raw.initial == raw.violating:
@@ -276,47 +284,66 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
 
     alphabet = raw.alphabet
     events = alphabet.events
-    start = frozenset((raw.initial,))
-    names: dict[frozenset[str], str] = {start: "q0"}
-    queue: deque[frozenset[str]] = deque((start,))
+    index = {event: i for i, event in enumerate(events)}
+    bit = {s: 1 << i for i, s in enumerate(raw.states)}
+    rows = {s: [0] * len(events) for s in raw.states}
+    try:
+        for src, event, dst in raw.transitions:
+            rows[src][index[event]] |= bit[dst]
+    except KeyError:
+        raise ValueError(
+            f"transition {src} -> {dst} : {event} uses an undeclared state "
+            "or a label outside the alphabet"
+        ) from None
+    violating = bit[raw.violating]
+
+    # Every mask without a non-violating member names the trap.
+    start = bit[raw.initial]
+    names: dict[int, str] = {0: VIOLATING_NAME, violating: VIOLATING_NAME, start: "q0"}
+    count = 1
+    queue: deque[int] = deque((start,))
     moves: dict[tuple[str, Event], str] = {}
 
     while queue:
         macro = queue.popleft()
-        src = names[macro]
-        for event in events:
-            target = frozenset(
-                d for s in macro for d in raw.successors(s, event)
-            )
-            if not any(s != raw.violating for s in target):
-                moves[(src, event)] = VIOLATING_NAME
-                continue
+        members = [rows[s] for s in raw.states if macro & bit[s]]
+        row = members[0]
+        for other in members[1:]:
+            row = list(map(or_, row, other))
+        for target in dict.fromkeys(row):  # first occurrences, in event order
             if target not in names:
-                names[target] = f"q{len(names)}"
+                names[target] = f"q{count}"
+                count += 1
                 queue.append(target)
-            moves[(src, event)] = names[target]
+        moves.update(zip(zip(repeat(names[macro]), events), map(names.__getitem__, row)))
 
-    locations = tuple(f"q{i}" for i in range(len(names))) + (VIOLATING_NAME,)
+    locations = tuple(f"q{i}" for i in range(count)) + (VIOLATING_NAME,)
     for event in events:
         moves[(VIOLATING_NAME, event)] = VIOLATING_NAME
     return SafetyAutomaton(alphabet, locations, "q0", VIOLATING_NAME, moves)
 
 
 def project_inputs(automaton: SafetyAutomaton) -> InputAutomaton:
-    """Erase outputs from transition labels, keeping the location set."""
-    relation: dict[tuple[str, BitVector], set[str]] = {
-        (q, x): set()
-        for q in automaton.locations
-        for x in automaton.alphabet.input_events
-    }
-    for (src, event), dst in automaton.delta.items():
-        relation[(src, event.input)].add(dst)
+    """Erase outputs from transition labels, keeping the location set.
+
+    Reads each location's row of targets once, in event-index order, and
+    slices it per input: the events of input code x are the contiguous
+    ``2**|O|`` entries starting at ``x * 2**|O|`` (see :class:`Alphabet`).
+    """
+    alphabet = automaton.alphabet
+    events, delta = alphabet.events, automaton.delta
+    width = len(alphabet.output_events)
+    relation: dict[tuple[str, BitVector], frozenset[str]] = {}
+    for q in automaton.locations:
+        row = [delta[(q, e)] for e in events]
+        for k, x in enumerate(alphabet.input_events):
+            relation[(q, x)] = frozenset(row[k * width : (k + 1) * width])
     return InputAutomaton(
-        alphabet=automaton.alphabet,
+        alphabet=alphabet,
         locations=automaton.locations,
         initial=automaton.initial,
         violating=automaton.violating,
-        delta={key: frozenset(val) for key, val in relation.items()},
+        delta=relation,
     )
 
 

@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 
 WILDCARD = "-"
 
+# Largest interface, inputs and outputs together: every event is
+# enumerated, and 2**16 of them already take seconds and hundreds of MB.
+MAX_VARIABLES = 16
+
 
 class BitVector:
     """Immutable fixed-width vector of bits, ordered by variable declaration.
@@ -134,9 +138,17 @@ def format_vector(vector: BitVector) -> str:
 class Alphabet:
     """Declared interface: ordered input and output variable names.
 
-    Names are non-empty and distinct across both lists.  Either list may be
-    empty: a side with no variables has the single zero-width valuation,
-    and :meth:`null` (no variables at all) has exactly one event.
+    Names are non-empty and distinct across both lists, and there are at
+    most :data:`MAX_VARIABLES` of them in total.  Either list may be empty:
+    a side with no variables has the single zero-width valuation, and
+    :meth:`null` (no variables at all) has exactly one event.
+
+    Enumerations are indexed by *code*, the numeric value of the rendered
+    bit string: ``input_events[x]`` and ``output_events[y]`` are the
+    valuations with codes x and y, and ``events[x * 2**len(outputs) + y]``
+    is their event.  So the events of one input are the contiguous slice
+    ``events[x * 2**len(outputs) : (x + 1) * 2**len(outputs)]``, in output
+    order; synthesis reads rows of a transition map through this layout.
     """
 
     inputs: tuple[str, ...]
@@ -152,6 +164,11 @@ class Alphabet:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
+        width = len(self.inputs) + len(self.outputs)
+        if width > MAX_VARIABLES:
+            raise ValueError(
+                f"interface declares {width} variables; at most {MAX_VARIABLES} are supported"
+            )
 
     @classmethod
     def null(cls) -> "Alphabet":
@@ -208,34 +225,36 @@ class Alphabet:
         return BitVector.from_text(text)
 
     def expand_input_pattern(self, pattern: str) -> tuple[BitVector, ...]:
-        return _expand(pattern, len(self.inputs), "input")
+        inputs = self.input_events
+        return tuple(inputs[x] for x in _codes(pattern, len(self.inputs), "input"))
 
     def expand_output_pattern(self, pattern: str) -> tuple[BitVector, ...]:
-        return _expand(pattern, len(self.outputs), "output")
+        outputs = self.output_events
+        return tuple(outputs[y] for y in _codes(pattern, len(self.outputs), "output"))
 
     def expand_event_pattern(self, pattern: str) -> tuple[Event, ...]:
         """Expand an ``inpat/outpat`` pattern over {0,1,-} to concrete events."""
         left, sep, right = pattern.partition("/")
         if not sep:
             raise ValueError(f"expected 'inpat/outpat', got {pattern!r}")
-        return tuple(
-            self.event(x, y)
-            for x in self.expand_input_pattern(left.strip())
-            for y in self.expand_output_pattern(right.strip())
-        )
+        xs = _codes(left.strip(), len(self.inputs), "input")
+        ys = _codes(right.strip(), len(self.outputs), "output")
+        events, shift = self.events, len(self.outputs)
+        return tuple(events[(x << shift) | y] for x in xs for y in ys)
 
 
-def _expand(pattern: str, width: int, side: str) -> tuple[BitVector, ...]:
+def _codes(pattern: str, width: int, side: str) -> list[int]:
+    """Codes of the valuations a {0,1,-} pattern matches, ascending."""
     if len(pattern) != width:
         raise ValueError(
             f"{side} pattern {pattern!r} has {len(pattern)} positions, expected {width}"
         )
-    choices = []
+    codes = [0]
     for c in pattern:
         if c == WILDCARD:
-            choices.append((0, 1))
+            codes = [2 * k + b for k in codes for b in (0, 1)]
         elif c in "01":
-            choices.append((int(c),))
+            codes = [2 * k + int(c) for k in codes]
         else:
             raise ValueError(f"invalid pattern character {c!r} in {pattern!r}")
-    return tuple(BitVector(bits) for bits in itertools.product(*choices))
+    return codes

@@ -21,14 +21,15 @@ element of that set, picked by one of three policies:
 :func:`select` is the one dispatcher from a policy to its choice.
 :func:`build_edit_tables` applies it once per automaton for the
 observed-independent policies (one entry per accepting location, and one
-per (location, safe input) pair); the word-level oracle applies it to the
-sets it recomputes from membership.
+per (location, safe input) pair, with one pick per distinct set); the
+word-level oracle applies it to the sets it recomputes from membership.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
 from .analysis import NotEnforceableError
@@ -79,24 +80,27 @@ def compute_edit_sets(
 
     ``safe_inputs[q]`` is empty exactly when q is a dead location; under an
     enforceable automaton every ``safe_outputs[(q, x)]`` with x safe is
-    non-empty (that is what makes output repair always possible).
+    non-empty (that is what makes output repair always possible).  Safe
+    inputs are read from the input automaton; safe outputs from each
+    location's row of targets, read once in event-index order and sliced
+    per input (see :class:`~syncguard.bits.Alphabet`).
     """
     if input_automaton is None:
         input_automaton = project_inputs(automaton)
-    trap = automaton.violating
+    alphabet = automaton.alphabet
+    events, delta, trap = alphabet.events, automaton.delta, automaton.violating
+    input_events, output_events = alphabet.input_events, alphabet.output_events
+    width = len(output_events)
     safe_inputs: dict[str, frozenset[BitVector]] = {}
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]] = {}
     for q in automaton.accepting_locations:
         safe_inputs[q] = frozenset(
-            x
-            for x in automaton.alphabet.input_events
-            if input_automaton.safe_successor_exists(q, x)
+            x for x in input_events if input_automaton.safe_successor_exists(q, x)
         )
-        for x in automaton.alphabet.input_events:
+        row = [delta[(q, e)] != trap for e in events]
+        for k, x in enumerate(input_events):
             safe_outputs[(q, x)] = frozenset(
-                y
-                for y in automaton.alphabet.output_events
-                if automaton.delta[(q, automaton.alphabet.event(x, y))] != trap
+                compress(output_events, row[k * width : (k + 1) * width])
             )
     return EditSets(safe_inputs, safe_outputs)
 
@@ -153,22 +157,32 @@ def build_edit_tables(
     """Materialize per-location choices for an observed-independent policy.
 
     Total over accepting locations and their safe inputs.  An empty safe
-    set means the automaton violates the enforceability condition.
+    set means the automaton violates the enforceability condition.  The
+    choice is a function of the candidate set alone, so the policy picks
+    once per distinct set and equal sets share the pick.
     """
     policy = canonical_policy(policy)
     if policy == NEAREST:
         raise ValueError("the nearest policy is observed-dependent; no static table exists")
+    picks: dict[frozenset[BitVector], BitVector] = {}
+
+    def pick(candidates: frozenset[BitVector]) -> BitVector:
+        choice = picks.get(candidates)
+        if choice is None:
+            choice = picks[candidates] = select(candidates, None, policy, seed)
+        return choice
+
     input_choice: dict[str, BitVector] = {}
     output_choice: dict[tuple[str, BitVector], BitVector] = {}
     for q, candidates in sets.safe_inputs.items():
         if not candidates:
             raise NotEnforceableError(f"automaton not enforceable: location {q} is dead")
-        input_choice[q] = select(candidates, None, policy, seed)
+        input_choice[q] = pick(candidates)
         for x in candidates:
             outputs = sets.safe_outputs[(q, x)]
             if not outputs:
                 raise NotEnforceableError(
                     f"automaton not enforceable: no safe output at ({q}, {x})"
                 )
-            output_choice[(q, x)] = select(outputs, None, policy, seed)
+            output_choice[(q, x)] = pick(outputs)
     return EditTables(input_choice, output_choice)

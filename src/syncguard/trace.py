@@ -1,7 +1,9 @@
 """Line-delimited trace files: one record per tick.
 
 Fields are tab-separated: tick index, observed event, released event,
-input-edited flag, output-edited flag, location after the tick.  Events
+input-edited flag, output-edited flag, location after the tick.  The
+tick index is a non-negative decimal integer and each flag is ``0`` or
+``1``; :func:`parse_record` rejects anything else with ``ValueError``.  Events
 render as ``inputs/outputs`` bit strings in declaration order.  Lines
 starting with ``#`` are comments.  All content is deterministic, so two
 runs with identical configuration produce byte-identical files.
@@ -33,12 +35,17 @@ def parse_record(line: str) -> TickRecord:
     if len(fields) != 6:
         raise ValueError(f"expected 6 tab-separated fields, got {len(fields)}: {line!r}")
     t, observed, released, input_edited, output_edited, state = fields
+    if not (t.isascii() and t.isdigit()):
+        raise ValueError(f"tick index must be a non-negative integer, got {t!r}")
+    for flag in (input_edited, output_edited):
+        if flag not in ("0", "1"):
+            raise ValueError(f"edit flag must be 0 or 1, got {flag!r}")
     return TickRecord(
         t=int(t),
         observed=Event.from_text(observed),
         released=Event.from_text(released),
-        input_edited=bool(int(input_edited)),
-        output_edited=bool(int(output_edited)),
+        input_edited=input_edited == "1",
+        output_edited=output_edited == "1",
         state_after=state,
     )
 

@@ -8,6 +8,7 @@ from syncguard import (
     EmptyPropertyError,
     Event,
     ParseError,
+    RawAutomaton,
     isomorphic,
     mutual_exclusion,
     normalize,
@@ -117,6 +118,26 @@ class TestParse:
             lines.append(mutation)
         with pytest.raises(ParseError, match=message):
             parse_automaton("\n".join(lines))
+
+    def test_too_wide_interface_rejected(self):
+        doc = "\n".join(
+            (
+                "inputs: " + " ".join(f"i{j}" for j in range(9)),
+                "outputs: " + " ".join(f"o{j}" for j in range(8)),
+                "states: q0 qv",
+                "initial: q0",
+                "violating: qv",
+            )
+        )
+        with pytest.raises(ParseError, match="declares 17 variables; at most 16"):
+            parse_automaton(doc)
+
+    def test_transition_outside_declarations_rejected(self, alpha_11):
+        event = alpha_11.events[0]
+        for triple in (("s0", event, "s9"), ("s0", Event.from_text("00/0"), "s0")):
+            raw = RawAutomaton(alpha_11, ("s0", "bad"), "s0", "bad", frozenset((triple,)))
+            with pytest.raises(ValueError, match="undeclared state or a label outside"):
+                normalize(raw)
 
     @pytest.mark.parametrize("header", ["initial: q0", "violating: qv"])
     def test_missing_declarations(self, header):

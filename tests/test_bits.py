@@ -1,6 +1,7 @@
 import pytest
 
 from syncguard import Alphabet, BitVector, Event
+from syncguard.bits import MAX_VARIABLES
 
 
 def test_bitvector_rendering_follows_declaration_order():
@@ -79,3 +80,24 @@ def test_event_interning():
     assert alpha.event(x, y) is alpha.event(x, y)
     with pytest.raises(ValueError):
         alpha.event(BitVector.from_text("11"), y)
+
+
+def test_interface_width_limit():
+    assert MAX_VARIABLES == 16
+    widest = Alphabet(tuple(f"i{j}" for j in range(10)), tuple(f"o{j}" for j in range(6)))
+    assert len(widest.inputs) + len(widest.outputs) == 16
+    for n_in in (0, 9, 17):
+        names = [f"v{j}" for j in range(17)]
+        with pytest.raises(ValueError, match="declares 17 variables; at most 16"):
+            Alphabet(tuple(names[:n_in]), tuple(names[n_in:]))
+
+
+def test_event_index_layout():
+    """``events[x * 2**|O| + y]`` pairs the input of code x with the output of code y."""
+    for n_in, n_out in ((0, 0), (0, 2), (2, 0), (1, 2), (3, 1)):
+        alpha = Alphabet(tuple(f"i{j}" for j in range(n_in)), tuple(f"o{j}" for j in range(n_out)))
+        for x, xv in enumerate(alpha.input_events):
+            assert int(str(xv) or "0", 2) == x
+            for y, yv in enumerate(alpha.output_events):
+                assert int(str(yv) or "0", 2) == y
+                assert alpha.events[x * 2**n_out + y] == Event(xv, yv)

@@ -56,6 +56,17 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent.aut"]) == 2
 
+    def test_too_wide_interface_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.aut"
+        path.write_text(
+            "inputs: " + " ".join(f"i{j}" for j in range(17)) + "\noutputs:\n"
+            "states: q0 qv\ninitial: q0\nviolating: qv\n"
+        )
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "declares 17 variables; at most 16" in captured.err
+
 
 class TestTransform:
     def test_writes_repaired_automaton(self, branchy_file, tmp_path):
@@ -230,6 +241,20 @@ class TestSimulate:
         argv = ["simulate", s1_file, program, "--env", env, "--ticks", "2"]
         assert main(argv) == 2
         assert f"{path}: tick 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("role", ["program", "env"])
+    def test_bad_trace_flag_exits_two(self, s1_file, tmp_path, capsys, role):
+        path = tmp_path / "flagged.txt"
+        path.write_text("0\t00/0\t00/0\t0\t0\tq0\n1\t00/0\t00/0\t7\t0\tq0\n")
+        program = f"scripted:{path}" if role == "program" else "const:1"
+        env = f"trace:{path}" if role == "env" else "random"
+        capsys.readouterr()
+        argv = ["simulate", s1_file, program, "--env", env, "--ticks", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "edit flag must be 0 or 1, got '7'" in captured.err
 
 
 class TestVerify:

@@ -59,6 +59,23 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="fields"):
             parse_record("0\t10/1\t10/1")
 
+    @pytest.mark.parametrize("flag", ["7", "-2", "", " 1", "01"])
+    @pytest.mark.parametrize("position", [3, 4])
+    def test_edit_flag_must_be_zero_or_one(self, flag, position):
+        fields = ["0", "00/0", "00/0", "0", "0", "q0"]
+        fields[position] = flag
+        with pytest.raises(ValueError, match="edit flag must be 0 or 1"):
+            parse_record("\t".join(fields))
+
+    @pytest.mark.parametrize("t", ["-3", "+3", " 3", "", "1.0", "\u0663"])
+    def test_tick_index_must_be_a_non_negative_integer(self, t):
+        with pytest.raises(ValueError, match="tick index"):
+            parse_record(f"{t}\t00/0\t00/0\t0\t0\tq0")
+
+    def test_negative_index_and_stray_flags_rejected(self):
+        with pytest.raises(ValueError):
+            parse_record("-3\t00/0\t00/0\t7\t-2\tq0")
+
 
 class TestSimulate:
     def test_every_prefix_of_trace_satisfies_property(self):
