@@ -28,7 +28,7 @@ from .automata import (
     render_automaton,
     render_input_automaton,
 )
-from .bits import Alphabet, BitVector, Event, Word, format_word, word_inputs, word_outputs
+from .bits import Alphabet, BitVector, Event, Word, format_word
 from .corpus import all_normalized_automata, random_enforceable_automata
 from .editing import (
     LEXICOGRAPHIC,
@@ -128,6 +128,4 @@ __all__ = [
     "simulate",
     "transform_non_enforceable",
     "validate_witness",
-    "word_inputs",
-    "word_outputs",
 ]

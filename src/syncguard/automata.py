@@ -359,7 +359,9 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
 
     Transitions are grouped per (source, target) pair and compressed with
     wildcards where a full input or output cube is covered.  The trap's
-    self-loops are implied and omitted.
+    self-loops are implied and omitted.  Each source's row of targets is
+    read once, in event-index order, and sliced per input as in
+    :func:`project_inputs`.
     """
     alphabet = automaton.alphabet
     lines = [
@@ -369,29 +371,29 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
         f"initial: {automaton.initial}",
         f"violating: {automaton.violating}",
     ]
-    all_inputs = alphabet.input_events
+    events, delta = alphabet.events, automaton.delta
     all_outputs = alphabet.output_events
+    width = len(all_outputs)
     full_output_pattern = "-" * len(alphabet.outputs)
     full_input_pattern = "-" * len(alphabet.inputs)
 
     for src in automaton.locations:
         if src == automaton.violating:
             continue
-        by_target: dict[str, set[Event]] = {}
-        for event in alphabet.events:
-            by_target.setdefault(automaton.delta[(src, event)], set()).add(event)
+        row = [delta[(src, e)] for e in events]
         for dst in automaton.locations:
-            events = by_target.get(dst)
-            if not events:
+            count = row.count(dst)
+            if not count:
                 continue
-            if len(events) == len(alphabet.events):
+            if count == len(row):
                 lines.append(f"{src} -> {dst} : {full_input_pattern}/{full_output_pattern}")
                 continue
-            for x in all_inputs:
-                outputs = [y for y in all_outputs if alphabet.event(x, y) in events]
+            for k, x in enumerate(alphabet.input_events):
+                targets = row[k * width : (k + 1) * width]
+                outputs = [y for y, t in zip(all_outputs, targets) if t == dst]
                 if not outputs:
                     continue
-                if len(outputs) == len(all_outputs):
+                if len(outputs) == width:
                     lines.append(f"{src} -> {dst} : {x}/{full_output_pattern}")
                 else:
                     for y in outputs:

@@ -113,15 +113,6 @@ class Event:
 
 Word = tuple[Event, ...]
 
-
-def word_inputs(word: Sequence[Event]) -> tuple[BitVector, ...]:
-    return tuple(e.input for e in word)
-
-
-def word_outputs(word: Sequence[Event]) -> tuple[BitVector, ...]:
-    return tuple(e.output for e in word)
-
-
 EMPTY = "<empty>"
 
 
@@ -227,10 +218,6 @@ class Alphabet:
     def expand_input_pattern(self, pattern: str) -> tuple[BitVector, ...]:
         inputs = self.input_events
         return tuple(inputs[x] for x in _codes(pattern, len(self.inputs), "input"))
-
-    def expand_output_pattern(self, pattern: str) -> tuple[BitVector, ...]:
-        outputs = self.output_events
-        return tuple(outputs[y] for y in _codes(pattern, len(self.outputs), "output"))
 
     def expand_event_pattern(self, pattern: str) -> tuple[Event, ...]:
         """Expand an ``inpat/outpat`` pattern over {0,1,-} to concrete events."""

@@ -11,6 +11,8 @@ a state-tracking bug in the runtime cannot hide behind itself:
 * :func:`check_constraints` enumerates every observed word up to a length
   bound and checks the six defining enforcer constraints literally as
   quantified, reporting the first counterexample per constraint.
+  Causality is checked on sibling words that differ only in their last
+  output; the input projection is not read.
 * :func:`validate_witness` confirms a claimed proof that no enforcer
   exists: an accepted word leading to a location from which every event
   violates.
@@ -21,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .automata import SafetyAutomaton, project_inputs
-from .bits import BitVector, Event, Word, word_inputs
+from .automata import SafetyAutomaton
+from .bits import BitVector, Event, Word
 from .editing import NEAREST, canonical_policy, select
 from .runtime import Enforcer
 from .programs import ScriptedProgram
@@ -139,19 +141,20 @@ def check_constraints(
     * instantaneity: released and observed lengths match;
     * transparency: if the parent's released word extended by the observed
       event is accepted, it is exactly what gets released;
-    * causality: the released word extends the parent's by one event whose
-      input may follow the parent's released inputs in the (possibly
-      nondeterministic) input projection and whose output completes an
-      accepted extension;
+    * causality: the released word extends the parent's by one accepted
+      event whose input is fixed by the released prefix and the observed
+      input alone: sibling words that differ only in their last output
+      get the same released input;
     * weak transparency: an observed word that is itself accepted is
       released unchanged.
 
     The walk carries, per word, the automaton location of the observed
-    word, the location of the released word and the input-projection
-    frontier of the released word's inputs, each one ``step`` from its
-    parent's, so every constraint is a lookup.  A released word that does
-    not extend its parent's by one event (only a custom ``enforce`` makes
-    one) is run again from the initial location.  Nothing is read from the
+    word and of the released word, each one ``step`` from its parent's, so
+    every constraint is a lookup; a parent also records, per observed
+    input, the released input its first extending child got, against
+    which the later siblings are compared.  A released word that does not
+    extend its parent's by one event (only a custom ``enforce`` makes one)
+    is run again from the initial location.  Nothing is read from the
     runtime but the released words.  Monotonicity is checked against the
     parent alone: the first word whose released word misses an ancestor's
     also misses its parent's, since the parent's extends every ancestor's.
@@ -171,7 +174,6 @@ def check_constraints(
     if total > budget:
         raise ValueError(f"enumeration budget exceeded: {total} words > {budget}")
 
-    input_automaton = project_inputs(automaton)
     runtime = Enforcer(automaton, policy, seed) if enforce is None else None
     step = automaton.step
     trap = automaton.violating
@@ -194,15 +196,10 @@ def check_constraints(
         record = runtime.tick(event.input, ScriptedProgram([event.output]))
         return parent_released + (record.released,), runtime.snapshot()
 
-    def advance(frontier, inputs) -> frozenset[str]:
-        """Input-projection locations reachable from ``frontier`` over ``inputs``."""
-        for x in inputs:
-            frontier = frozenset(d for s in frontier for d in input_automaton.successors(s, x))
-        return frontier
-
     def visit(observed: Word, observed_at: str, released: Word, snap, parent) -> None:
-        """``parent`` is the parent word's (released word, its location, its
-        input frontier), or None at the root."""
+        """``parent`` is the parent word's (released word, its location, the
+        released input per observed input of its children), or None at the
+        root."""
         nonlocal words
         words += 1
         extends = (
@@ -210,13 +207,7 @@ def check_constraints(
             and len(released) == len(parent[0]) + 1
             and released[:-1] == parent[0]
         )
-        if extends:
-            new = released[-1]
-            released_at = step(parent[1], new)
-            frontier = advance(parent[2], (new.input,))
-        else:
-            released_at = automaton.run(released)
-            frontier = advance(frozenset({automaton.initial}), word_inputs(released))
+        released_at = step(parent[1], released[-1]) if extends else automaton.run(released)
         if released_at == trap:
             fail("soundness", observed)
         if len(released) != len(observed):
@@ -224,18 +215,19 @@ def check_constraints(
         if observed_at != trap and released != observed:
             fail("weak_transparency", observed)
         if parent is not None:
-            parent_released, parent_at, _ = parent
+            parent_released, parent_at, fixed_inputs = parent
             if released[: len(parent_released)] != parent_released:
                 fail("monotonicity", observed)
             event = observed[-1]
             if step(parent_at, event) != trap and not (extends and released[-1] == event):
                 fail("transparency", observed)
-            # causality: the new event decomposes into a safe input choice
-            # followed by a safe output choice
-            if not extends or released_at == trap or all(s == trap for s in frontier):
+            # causality: one safe event whose input was fixed before the
+            # output was seen, so siblings differing only in it agree on it
+            x = released[-1].input if extends else None
+            if x is None or released_at == trap or fixed_inputs.setdefault(event.input, x) != x:
                 fail("causality", observed)
         if len(observed) < max_len:
-            here = (released, released_at, frontier)
+            here = (released, released_at, {})
             for event in alphabet.events:
                 child = observed + (event,)
                 child_released, child_snap = release_child(child, released, snap)

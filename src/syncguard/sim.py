@@ -5,9 +5,11 @@ using CPython's Mersenne Twister: ``random.Random(seed).getrandbits(32) %
 len(input_events)``.  The modulus is a power of two, so the draw is
 unbiased, and the sequence is reproducible across platforms.
 
-Benchmarks time the same program over the same environment twice (bare,
-then wrapped in an enforcer) with a monotonic clock; the reported per-tick
-means are medians over the configured runs after a discarded warm-up run.
+Benchmarks time the same program over the same environment twice, bare
+and wrapped in an enforcer, back to back with a monotonic clock, and
+alternate which of the pair goes first.  After a discarded warm-up pair,
+the overhead is the median of the per-pair differences over the
+configured runs, so host drift slower than one pair cancels.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ def count_edits(records: Sequence[TickRecord]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Per-tick means in seconds for the bare and the enforced loop."""
+    """Per-tick times in seconds for the bare and the enforced loop.
+
+    ``mean_tick_plain`` is the median bare time; ``mean_tick_enforced`` is
+    that plus the median paired difference, so ``overhead`` is the latter.
+    """
 
     mean_tick_plain: float
     mean_tick_enforced: float
@@ -95,8 +101,9 @@ def bench(
     program: TickFunction,
     config: SimConfig,
 ) -> BenchResult:
-    """Median per-tick time over ``config.runs`` runs of ``config.ticks``
-    ticks, bare versus enforced, same seeded environment for both.
+    """Per-tick time over ``config.runs`` pairs of ``config.ticks``-tick
+    runs, bare versus enforced, same seeded environment for both; see the
+    module docstring for the pairing.
 
     The program must expose ``reset()``; it is reset before every run so
     both sides see identical program-state evolution.
@@ -124,11 +131,18 @@ def bench(
     plain_run()  # warm-up, discarded
     enforced_run()
     plain_times = []
-    enforced_times = []
-    for _ in range(config.runs):
-        plain_times.append(plain_run())
-        enforced_times.append(enforced_run())
+    differences = []
+    for i in range(config.runs):
+        if i % 2:
+            enforced = enforced_run()
+            plain = plain_run()
+        else:
+            plain = plain_run()
+            enforced = enforced_run()
+        plain_times.append(plain)
+        differences.append(enforced - plain)
+    plain = statistics.median(plain_times)
     return BenchResult(
-        mean_tick_plain=statistics.median(plain_times),
-        mean_tick_enforced=statistics.median(enforced_times),
+        mean_tick_plain=plain,
+        mean_tick_enforced=plain + statistics.median(differences),
     )

@@ -6,6 +6,7 @@ import pytest
 from syncguard import (
     NEAREST,
     POLICIES,
+    BitVector,
     Enforcer,
     Event,
     SafetyAutomaton,
@@ -139,6 +140,43 @@ class TestCheckConstraints:
         # the offending step pairs B with the output it must not join
         last = counterexample[-1]
         assert last.input.bits[1] == 1 and last.output.bits[0] == 1
+
+    def test_input_steered_by_output_fails_causality(self):
+        # sound, monotone and instantaneous, but the input is picked from
+        # the observed output: the largest safe input for output 1, the
+        # smallest for output 0
+        a = mutual_exclusion()
+        alphabet = a.alphabet
+
+        def output_steered(observed):
+            released = ()
+            for event in observed:
+
+                def safe_outputs(x):
+                    return [
+                        y
+                        for y in alphabet.output_events
+                        if a.accepts(released + (alphabet.event(x, y),))
+                    ]
+
+                safe_in = [x for x in alphabet.input_events if safe_outputs(x)]
+                x = max(safe_in) if event.output.bits[0] else min(safe_in)
+                outputs = safe_outputs(x)
+                y = event.output
+                if y not in outputs:
+                    y = choose_nearest(outputs, y)
+                released = released + (alphabet.event(x, y),)
+            return released
+
+        report = check_constraints(a, NEAREST, max_len=3, enforce=output_steered)
+        assert not report.results["causality"], report
+        for name in ("soundness", "monotonicity", "instantaneity"):
+            assert report.results[name], report
+        counterexample = report.counterexamples["causality"]
+        last = counterexample[-1]
+        flipped = BitVector(1 - b for b in last.output.bits)
+        sibling = counterexample[:-1] + (alphabet.event(last.input, flipped),)
+        assert output_steered(counterexample)[-1].input != output_steered(sibling)[-1].input
 
     def test_transparency_implies_weak_transparency(self, enforceable_family):
         for a in enforceable_family[::100]:
