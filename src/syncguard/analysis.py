@@ -39,7 +39,13 @@ class NotEnforceableError(ValueError):
 
 
 def check_enforceability(automaton: SafetyAutomaton) -> EnforceabilityReport:
-    """Report the accepting locations whose every event falls into the trap."""
+    """Report the accepting locations whose every event falls into the trap.
+
+    Reads ``delta`` and stops at a location's first safe event, rather
+    than reading :attr:`~syncguard.automata.SafetyAutomaton.rows`: most
+    automata checked are candidates that corpus generation throws away,
+    for which the cache would cost memory and buy nothing.
+    """
     trap = automaton.violating
     dead = tuple(
         q

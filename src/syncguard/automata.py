@@ -121,10 +121,37 @@ class SafetyAutomaton:
     def accepting_locations(self) -> tuple[str, ...]:
         return tuple(q for q in self.locations if q != self.violating)
 
+    @property
+    def rows(self) -> dict[str, tuple[str, ...]]:
+        """Every location's row of targets, the trap's included.
+
+        ``rows[q][i] == step(q, alphabet.events[i])``: a row is in the
+        event-index order :class:`~syncguard.bits.Alphabet` states, so the
+        targets of input code x are the contiguous slice
+        ``rows[q][x * 2**|O| : (x + 1) * 2**|O|]``, in output order.
+        Gathered from ``delta`` the first time it is read, so every
+        synthesis step of every enforcer of this automaton shares one
+        gather.  The word-level oracle does not read it.
+        """
+        try:
+            return self._rows
+        except AttributeError:
+            pass
+        delta, events = self.delta, self.alphabet.events
+        rows = {q: tuple(map(delta.__getitem__, zip(repeat(q), events))) for q in self.locations}
+        # Not functools.cached_property: writing through the instance
+        # __dict__ turns off CPython's fast attribute reads for this
+        # automaton (2-3x slower on 3.11), which the oracle and the tick
+        # make on every step.
+        object.__setattr__(self, "_rows", rows)
+        return rows
+
     def step(self, location: str, event: Event) -> str:
         try:
             return self.delta[(location, event)]
         except KeyError:
+            if location not in self.locations:
+                raise ValueError(f"unknown location {location!r}") from None
             raise ValueError(f"event width mismatch: {event} not in the alphabet") from None
 
     def run(self, word: Sequence[Event]) -> str:
@@ -168,6 +195,8 @@ class InputAutomaton:
         try:
             return self.delta[(location, inputs)]
         except KeyError:
+            if location not in self.locations:
+                raise ValueError(f"unknown location {location!r}") from None
             raise ValueError(f"input width mismatch: {inputs}") from None
 
     def safe_successor_exists(self, location: str, inputs: BitVector) -> bool:
@@ -326,16 +355,13 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
 def project_inputs(automaton: SafetyAutomaton) -> InputAutomaton:
     """Erase outputs from transition labels, keeping the location set.
 
-    Reads each location's row of targets once, in event-index order, and
-    slices it per input: the events of input code x are the contiguous
-    ``2**|O|`` entries starting at ``x * 2**|O|`` (see :class:`Alphabet`).
+    Slices each location's row of :attr:`SafetyAutomaton.rows` per input:
+    an input's successors are the targets of its contiguous slice.
     """
     alphabet = automaton.alphabet
-    events, delta = alphabet.events, automaton.delta
     width = len(alphabet.output_events)
     relation: dict[tuple[str, BitVector], frozenset[str]] = {}
-    for q in automaton.locations:
-        row = [delta[(q, e)] for e in events]
+    for q, row in automaton.rows.items():
         for k, x in enumerate(alphabet.input_events):
             relation[(q, x)] = frozenset(row[k * width : (k + 1) * width])
     return InputAutomaton(
@@ -361,7 +387,10 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
     wildcards where a full input or output cube is covered.  The trap's
     self-loops are implied and omitted.  Each source's row of targets is
     read once, in event-index order, and sliced per input as in
-    :func:`project_inputs`.
+    :func:`project_inputs`.  The rows are gathered here, not read from
+    :attr:`SafetyAutomaton.rows`: most automata rendered are candidates
+    thrown away during corpus generation, for which the cache costs
+    memory and buys nothing.
     """
     alphabet = automaton.alphabet
     lines = [

@@ -82,26 +82,31 @@ def compute_edit_sets(
     enforceable automaton every ``safe_outputs[(q, x)]`` with x safe is
     non-empty (that is what makes output repair always possible).  Safe
     inputs are read from the input automaton; safe outputs from each
-    location's row of targets, read once in event-index order and sliced
-    per input (see :class:`~syncguard.bits.Alphabet`).
+    location's row of :attr:`~syncguard.automata.SafetyAutomaton.rows`,
+    sliced per input.  Equal slices (which outputs stay out of the trap)
+    share one set, so each distinct pattern is hashed once and
+    :func:`build_edit_tables` finds the shared sets by identity.
     """
     if input_automaton is None:
         input_automaton = project_inputs(automaton)
     alphabet = automaton.alphabet
-    events, delta, trap = alphabet.events, automaton.delta, automaton.violating
+    rows, trap = automaton.rows, automaton.violating
     input_events, output_events = alphabet.input_events, alphabet.output_events
     width = len(output_events)
+    shared: dict[tuple[bool, ...], frozenset[BitVector]] = {}
     safe_inputs: dict[str, frozenset[BitVector]] = {}
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]] = {}
     for q in automaton.accepting_locations:
         safe_inputs[q] = frozenset(
             x for x in input_events if input_automaton.safe_successor_exists(q, x)
         )
-        row = [delta[(q, e)] != trap for e in events]
+        safe = tuple(map(trap.__ne__, rows[q]))
         for k, x in enumerate(input_events):
-            safe_outputs[(q, x)] = frozenset(
-                compress(output_events, row[k * width : (k + 1) * width])
-            )
+            pattern = safe[k * width : (k + 1) * width]
+            outputs = shared.get(pattern)
+            if outputs is None:
+                outputs = shared[pattern] = frozenset(compress(output_events, pattern))
+            safe_outputs[(q, x)] = outputs
     return EditSets(safe_inputs, safe_outputs)
 
 

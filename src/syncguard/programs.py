@@ -106,6 +106,11 @@ class ScriptedProgram:
 
     Stands in for the program when enforcing an already-observed
     input/output word: the t-th call returns the t-th observed output.
+    A call past the end of the script raises ``IndexError``; ``tick``
+    then leaves the enforcer as the last completed tick left it.  Neither
+    caller reaches that: ``enforce_word`` builds a script exactly as long
+    as the word, and the CLI rejects a script shorter than the run before
+    the first tick.
     """
 
     def __init__(self, outputs: Sequence[BitVector]):

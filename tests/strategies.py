@@ -46,6 +46,29 @@ def safety_automata(draw, alphabet=None, max_accepting=3):
     )
 
 
+# Characters the document grammar gives meaning to, drawn more often than
+# arbitrary ones so that most mutants stay close to a valid document.
+DOCUMENT_CHARACTERS = "01-/:>#\n \tqvsABRO"
+
+
+@st.composite
+def mutated_documents(draw, text, max_edits=4):
+    """``text`` with one to ``max_edits`` characters inserted, deleted or replaced."""
+    chars = list(text)
+    characters = st.sampled_from(DOCUMENT_CHARACTERS) | st.characters()
+    for _ in range(draw(st.integers(1, max_edits))):
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert":
+            chars.insert(draw(st.sampled_from(range(len(chars) + 1))), draw(characters))
+        elif chars:
+            at = draw(st.sampled_from(range(len(chars))))
+            if edit == "delete":
+                del chars[at]
+            else:
+                chars[at] = draw(characters)
+    return "".join(chars)
+
+
 @st.composite
 def raw_automata(draw, alphabet=None, max_states=3):
     """Possibly nondeterministic, incomplete automaton with a trap."""

@@ -1,10 +1,12 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from syncguard import (
     Alphabet,
+    BitVector,
     EmptyPropertyError,
     Event,
     ParseError,
@@ -17,12 +19,14 @@ from syncguard import (
     render_automaton,
 )
 
-from .strategies import raw_automata, safety_automata
+from .strategies import mutated_documents, raw_automata, safety_automata
 
 
 def ev(text):
     return Event.from_text(text)
 
+
+MUTEX_DOC = (Path(__file__).parent / "golden" / "mutex.aut").read_text(encoding="utf-8")
 
 S1_DOC = """
 # A and B never together; B and R never together
@@ -155,6 +159,14 @@ class TestParse:
         with pytest.raises(ParseError, match="missing"):
             parse_automaton(doc)
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_documents(MUTEX_DOC))
+    def test_mutated_document_parses_or_raises_value_error(self, text):
+        try:
+            parse_automaton(text)
+        except ValueError:  # ParseError and EmptyPropertyError are subclasses
+            pass
+
 
 class TestNormalize:
     def test_fixpoint_on_already_normal_automaton(self):
@@ -250,6 +262,26 @@ class TestMembership:
         with pytest.raises(ValueError, match="width"):
             a.accepts((ev("1/1"),))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a: a.step("nope", a.alphabet.events[0]), "unknown location 'nope'"),
+            (lambda a: a.step("q0", ev("1/1")), "event width mismatch: 1/1 not in the alphabet"),
+            (
+                lambda a: project_inputs(a).successors("nope", a.alphabet.input_events[0]),
+                "unknown location 'nope'",
+            ),
+            (
+                lambda a: project_inputs(a).successors("q0", BitVector.from_text("1")),
+                "input width mismatch: 1",
+            ),
+        ],
+        ids=["step-location", "step-event", "successors-location", "successors-input"],
+    )
+    def test_lookup_errors_name_what_is_unknown(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(mutual_exclusion())
+
     @settings(max_examples=60, deadline=None)
     @given(a=safety_automata())
     def test_prefix_closure(self, a):
@@ -290,6 +322,16 @@ class TestProjection:
                     a.delta[(q, a.alphabet.event(x, y))] == q2
                     for y in a.alphabet.output_events
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=safety_automata())
+    def test_rows_follow_the_event_layout(self, a):
+        events = a.alphabet.events
+        assert len(a.rows) == len(a.locations)
+        for q in a.locations:
+            assert len(a.rows[q]) == len(events)
+            for i, event in enumerate(events):
+                assert a.rows[q][i] == a.step(q, event)
 
 
 class TestRendering:

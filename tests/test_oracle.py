@@ -296,3 +296,37 @@ def test_oracle_step_matches_published_edit_values():
     a = mutual_exclusion()
     released = oracle_step(a, (), ev("01/1"), NEAREST)
     assert released == ev("01/0")  # only output 0 may join B
+
+
+class _CompiledFormRead(Exception):
+    pass
+
+
+def test_oracle_reads_nothing_of_the_compiled_form(monkeypatch):
+    a = mutual_exclusion()
+    observed = (ev("10/1"), ev("11/1"), ev("01/1"))
+
+    def verdicts():
+        return [
+            (
+                oracle_step(a, observed[:1], observed[1], policy, 7),
+                oracle_enforce(a, observed, policy, 7),
+                _report_text(
+                    check_constraints(
+                        a, policy, max_len=3,
+                        enforce=lambda w, policy=policy: oracle_enforce(a, w, policy, 7),
+                    )
+                ),
+            )
+            for policy in POLICIES
+        ] + [validate_witness(a, observed[:1]), validate_witness(dead_end_branch(), (ev("1/1"),))]
+
+    unpatched = verdicts()
+
+    def forbidden(self):
+        raise _CompiledFormRead("SafetyAutomaton.rows was read")
+
+    monkeypatch.setattr(SafetyAutomaton, "rows", property(forbidden))
+    with pytest.raises(_CompiledFormRead):
+        Enforcer(a)  # synthesis reads the rows, so the patch is live
+    assert verdicts() == unpatched

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from syncguard import (
     Alphabet,
@@ -11,6 +12,9 @@ from syncguard import (
     null_program,
     parse_program,
 )
+from syncguard.programs import _ABO_DOC
+
+from .strategies import mutated_documents
 
 
 def bv(text):
@@ -92,6 +96,14 @@ class TestMealyParsing:
             lines.append(mutation)
         with pytest.raises(ParseError, match=message):
             parse_program("\n".join(lines))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_documents(_ABO_DOC))
+    def test_mutated_document_parses_or_raises_value_error(self, text):
+        try:
+            parse_program(text)
+        except ValueError:  # ParseError is a subclass
+            pass
 
 
 class TestAbo:

@@ -13,6 +13,8 @@ from syncguard import (
     ScriptedProgram,
     enforce_word,
     mutual_exclusion,
+    normalize,
+    parse_automaton,
     parse_program,
     project_inputs,
     random_inputs,
@@ -138,6 +140,29 @@ class TestRun:
     def test_empty_environment(self):
         enforcer = Enforcer(mutual_exclusion(), NEAREST)
         assert enforcer.run([], ScriptedProgram([])) == []
+
+    def test_script_running_out_raises_after_its_last_tick(self):
+        # every A must be answered by R on the next tick
+        a = normalize(parse_automaton(
+            """
+            inputs: A
+            outputs: R
+            states: idle busy qv
+            initial: idle
+            violating: qv
+            idle -> idle : 0/-
+            idle -> busy : 1/-
+            busy -> idle : -/1
+            busy -> qv : -/0
+            """
+        ))
+        env, script = [bv("0"), bv("1"), bv("1")], [bv("0"), bv("1")]
+        records = Enforcer(a).run(env[: len(script)], ScriptedProgram(script))
+        enforcer = Enforcer(a)
+        with pytest.raises(IndexError):
+            enforcer.run(env, ScriptedProgram(script))
+        assert enforcer.ticks == len(script)
+        assert enforcer.location == records[-1].state_after != a.initial
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**16))
