@@ -36,7 +36,6 @@ from .editing import (
     POLICIES,
     SEEDED_RANDOM,
     EditSets,
-    EditTables,
     build_edit_tables,
     canonical_policy,
     compute_edit_sets,
@@ -76,7 +75,6 @@ __all__ = [
     "ConstantProgram",
     "ConstraintReport",
     "EditSets",
-    "EditTables",
     "EmptyPropertyError",
     "Enforcer",
     "EnforceabilityReport",

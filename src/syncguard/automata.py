@@ -164,17 +164,6 @@ class SafetyAutomaton:
     def accepts(self, word: Sequence[Event]) -> bool:
         return self.run(word) != self.violating
 
-    def as_raw(self) -> RawAutomaton:
-        return RawAutomaton(
-            alphabet=self.alphabet,
-            states=self.locations,
-            initial=self.initial,
-            violating=self.violating,
-            transitions=frozenset(
-                (src, event, dst) for (src, event), dst in self.delta.items()
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class InputAutomaton:
@@ -307,27 +296,31 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     macro-states), and each raw state's successors are a row of masks,
     one per event index; a macro-state's row is the OR of its members'.
     """
-    raw = automaton.as_raw() if isinstance(automaton, SafetyAutomaton) else automaton
-    if raw.initial == raw.violating:
+    if isinstance(automaton, SafetyAutomaton):
+        states = automaton.locations
+        transitions = ((src, event, dst) for (src, event), dst in automaton.delta.items())
+    else:
+        states, transitions = automaton.states, automaton.transitions
+    if automaton.initial == automaton.violating:
         raise EmptyPropertyError("empty property: the initial state is violating")
 
-    alphabet = raw.alphabet
+    alphabet = automaton.alphabet
     events = alphabet.events
     index = {event: i for i, event in enumerate(events)}
-    bit = {s: 1 << i for i, s in enumerate(raw.states)}
-    rows = {s: [0] * len(events) for s in raw.states}
+    bit = {s: 1 << i for i, s in enumerate(states)}
+    rows = {s: [0] * len(events) for s in states}
     try:
-        for src, event, dst in raw.transitions:
+        for src, event, dst in transitions:
             rows[src][index[event]] |= bit[dst]
     except KeyError:
         raise ValueError(
             f"transition {src} -> {dst} : {event} uses an undeclared state "
             "or a label outside the alphabet"
         ) from None
-    violating = bit[raw.violating]
+    violating = bit[automaton.violating]
 
     # Every mask without a non-violating member names the trap.
-    start = bit[raw.initial]
+    start = bit[automaton.initial]
     names: dict[int, str] = {0: VIOLATING_NAME, violating: VIOLATING_NAME, start: "q0"}
     count = 1
     queue: deque[int] = deque((start,))
@@ -335,7 +328,7 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
 
     while queue:
         macro = queue.popleft()
-        members = [rows[s] for s in raw.states if macro & bit[s]]
+        members = [rows[s] for s in states if macro & bit[s]]
         row = members[0]
         for other in members[1:]:
             row = list(map(or_, row, other))

@@ -61,9 +61,6 @@ class BitVector:
     def __lt__(self, other: "BitVector") -> bool:
         return self.bits < other.bits
 
-    def __le__(self, other: "BitVector") -> bool:
-        return self.bits <= other.bits
-
     def __hash__(self) -> int:
         return self._hash
 

@@ -177,13 +177,15 @@ def _cmd_explain(args) -> int:
     if policy == NEAREST:
         lines.append("(nearest repairs depend on the observed event; no static table)")
     for q in automaton.accepting_locations:
-        choice = f"  choose {format_vector(tables.input_choice[q])}" if tables else ""
-        lines.append(f"{q}: safe inputs {render_set(sets.safe_inputs[q])}{choice}")
-        for x in sorted(sets.safe_inputs[q]):
-            choice = f"  choose {format_vector(tables.output_choice[(q, x)])}" if tables else ""
+        inputs = sets.safe_inputs[q]
+        choice = f"  choose {format_vector(tables[inputs])}" if tables else ""
+        lines.append(f"{q}: safe inputs {render_set(inputs)}{choice}")
+        for x in sorted(inputs):
+            outputs = sets.safe_outputs[(q, x)]
+            choice = f"  choose {format_vector(tables[outputs])}" if tables else ""
             lines.append(
                 f"{q} given {format_vector(x)}: safe outputs "
-                f"{render_set(sets.safe_outputs[(q, x)])}{choice}"
+                f"{render_set(outputs)}{choice}"
             )
     _write_output(args.out, "\n".join(lines) + "\n")
     return 0

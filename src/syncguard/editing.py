@@ -20,9 +20,9 @@ element of that set, picked by one of three policies:
 
 :func:`select` is the one dispatcher from a policy to its choice.
 :func:`build_edit_tables` applies it once per automaton for the
-observed-independent policies (one entry per accepting location, and one
-per (location, safe input) pair, with one pick per distinct set); the
-word-level oracle applies it to the sets it recomputes from membership.
+observed-independent policies, one pick per distinct safe set, keyed by
+that set; the word-level oracle applies it to the sets it recomputes
+from membership.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class EditSets:
 
     safe_inputs: dict[str, frozenset[BitVector]]
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]]
-
-
-@dataclass(frozen=True)
-class EditTables:
-    """Precomputed repair choices for an observed-independent policy."""
-
-    input_choice: dict[str, BitVector]
-    output_choice: dict[tuple[str, BitVector], BitVector]
 
 
 def compute_edit_sets(
@@ -158,36 +150,33 @@ def select(
 
 def build_edit_tables(
     sets: EditSets, policy: str, seed: Optional[int] = None
-) -> EditTables:
-    """Materialize per-location choices for an observed-independent policy.
+) -> dict[frozenset[BitVector], BitVector]:
+    """The policy's pick from every safe set, keyed by the set.
 
-    Total over accepting locations and their safe inputs.  An empty safe
-    set means the automaton violates the enforceability condition.  The
-    choice is a function of the candidate set alone, so the policy picks
-    once per distinct set and equal sets share the pick.
+    The keys are each accepting location's safe inputs and, for each safe
+    input, its safe outputs; a pick is a function of the set alone, so
+    locations with equal sets share one entry.  An empty safe set means
+    the automaton violates the enforceability condition.  ``nearest``
+    depends on the observed event, so it has no table.
     """
     policy = canonical_policy(policy)
     if policy == NEAREST:
         raise ValueError("the nearest policy is observed-dependent; no static table exists")
     picks: dict[frozenset[BitVector], BitVector] = {}
 
-    def pick(candidates: frozenset[BitVector]) -> BitVector:
-        choice = picks.get(candidates)
-        if choice is None:
-            choice = picks[candidates] = select(candidates, None, policy, seed)
-        return choice
+    def pick(candidates: frozenset[BitVector]) -> None:
+        if candidates not in picks:
+            picks[candidates] = select(candidates, None, policy, seed)
 
-    input_choice: dict[str, BitVector] = {}
-    output_choice: dict[tuple[str, BitVector], BitVector] = {}
     for q, candidates in sets.safe_inputs.items():
         if not candidates:
             raise NotEnforceableError(f"automaton not enforceable: location {q} is dead")
-        input_choice[q] = pick(candidates)
+        pick(candidates)
         for x in candidates:
             outputs = sets.safe_outputs[(q, x)]
             if not outputs:
                 raise NotEnforceableError(
                     f"automaton not enforceable: no safe output at ({q}, {x})"
                 )
-            output_choice[(q, x)] = pick(outputs)
-    return EditTables(input_choice, output_choice)
+            pick(outputs)
+    return picks

@@ -43,12 +43,15 @@ class Enforcer:
     """Stateful enforcer for one enforceable safety automaton.
 
     Construction computes the safe-event sets (through the input
-    projection) and, for observed-independent policies, the repair tables;
-    it fails with the enforceability report if the automaton has dead
-    locations.  ``tick`` is the one place where an observed input or
-    output is kept or replaced; the program is passed to each ``tick`` or
-    ``run`` call.  A single instance is single-owner: only ``tick``
-    mutates it, and only after the program has returned.
+    projection) and, for observed-independent policies, the repair table
+    (one pick per distinct safe set, keyed by the set); it fails with the
+    enforceability report if the automaton has dead locations.  ``tick``
+    applies one keep-or-repair rule to the observed input, against the
+    safe inputs at the current location, and then to the program's
+    output, against the safe outputs given the released input; the
+    program is passed to each ``tick`` or ``run`` call.  A single
+    instance is single-owner: only ``tick`` mutates it, and only after
+    the program has returned.
     """
 
     def __init__(
@@ -97,36 +100,13 @@ class Enforcer:
         """
         q = self.location
         sets = self.edit_sets
-
-        # A member of a safe set is a valid vector, so only the edit paths
-        # check the type and the width.
-        try:
-            input_ok = inputs in sets.safe_inputs[q]
-        except TypeError:  # unhashable, so not a BitVector
-            input_ok = False
-        if input_ok:
-            fixed_input = inputs
-        else:
-            _check_vector(inputs, self._in_width, "input")
-            if self.tables is not None:
-                fixed_input = self.tables.input_choice[q]
-            else:
-                fixed_input = choose_nearest(sets.safe_inputs[q], inputs)
-
+        fixed_input, input_edited = self._keep_or_repair(
+            sets.safe_inputs[q], inputs, self._in_width, "input"
+        )
         outputs = program(fixed_input)
-
-        try:
-            output_ok = outputs in sets.safe_outputs[(q, fixed_input)]
-        except TypeError:
-            output_ok = False
-        if output_ok:
-            fixed_output = outputs
-        else:
-            _check_vector(outputs, self._out_width, "program output")
-            if self.tables is not None:
-                fixed_output = self.tables.output_choice[(q, fixed_input)]
-            else:
-                fixed_output = choose_nearest(sets.safe_outputs[(q, fixed_input)], outputs)
+        fixed_output, output_edited = self._keep_or_repair(
+            sets.safe_outputs[(q, fixed_input)], outputs, self._out_width, "program output"
+        )
 
         alphabet = self.automaton.alphabet
         released = alphabet.event(fixed_input, fixed_output)
@@ -134,13 +114,33 @@ class Enforcer:
             t=self.ticks,
             observed=alphabet.event(inputs, outputs),
             released=released,
-            input_edited=not input_ok,
-            output_edited=not output_ok,
+            input_edited=input_edited,
+            output_edited=output_edited,
             state_after=self.automaton.delta[(q, released)],
         )
         self.location = record.state_after
         self.ticks += 1
         return record
+
+    def _keep_or_repair(
+        self, safe: frozenset[BitVector], observed, width: int, role: str
+    ) -> tuple[BitVector, bool]:
+        """The vector to release for one observed vector, and whether it was edited.
+
+        A member of the safe set is kept.  It is a valid vector, so only
+        the edit path checks that the observed vector is a BitVector of
+        the interface's width (ValueError naming ``role`` if not) before
+        replacing it by the policy's pick from the set.
+        """
+        try:
+            if observed in safe:
+                return observed, False
+        except TypeError:  # unhashable, so not a BitVector
+            pass
+        _check_vector(observed, width, role)
+        if self.tables is None:
+            return choose_nearest(safe, observed), True
+        return self.tables[safe], True
 
     def run(self, env: Iterable[BitVector], program: TickFunction) -> list[TickRecord]:
         """Fold ``tick`` over an input sequence."""

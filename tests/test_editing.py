@@ -21,7 +21,7 @@ from syncguard import (
     mutual_exclusion,
     project_inputs,
 )
-from syncguard.editing import choose_nearest, choose_seeded
+from syncguard.editing import choose_nearest, choose_seeded, select
 
 from .strategies import safety_automata
 
@@ -108,14 +108,14 @@ class TestEditTables:
     def test_lexicographic_choices_for_s1(self):
         sets = compute_edit_sets(mutual_exclusion())
         tables = build_edit_tables(sets, LEXICOGRAPHIC)
-        assert tables.input_choice["q0"] == bv("00")
-        assert tables.output_choice[("q0", bv("00"))] == bv("0")
+        assert tables[sets.safe_inputs["q0"]] == bv("00")
+        assert tables[sets.safe_outputs[("q0", bv("00"))]] == bv("0")
 
     def test_singleton_sets_force_the_choice(self):
         sets = compute_edit_sets(mutual_exclusion())
         for policy in (LEXICOGRAPHIC, SEEDED_RANDOM):
             tables = build_edit_tables(sets, policy, seed=11)
-            assert tables.output_choice[("q0", bv("01"))] == bv("0")
+            assert tables[sets.safe_outputs[("q0", bv("01"))]] == bv("0")
 
     def test_same_seed_same_tables(self):
         sets = compute_edit_sets(mutual_exclusion())
@@ -123,15 +123,26 @@ class TestEditTables:
         t2 = build_edit_tables(sets, SEEDED_RANDOM, seed=5)
         assert t1 == t2
 
+    def test_keys_are_the_distinct_safe_sets(self, random_family):
+        for a in [mutual_exclusion()] + random_family[:20]:
+            sets = compute_edit_sets(a)
+            expected = {sets.safe_inputs[q] for q in a.accepting_locations}
+            expected |= {
+                sets.safe_outputs[(q, x)]
+                for q in a.accepting_locations
+                for x in sets.safe_inputs[q]
+            }
+            for policy in (LEXICOGRAPHIC, SEEDED_RANDOM):
+                assert set(build_edit_tables(sets, policy, 3)) == expected
+
     def test_tables_stay_inside_the_sets(self, random_family):
-        for a in random_family[:20]:
+        # each value is the policy's pick from its key, so a member of it
+        for a in [mutual_exclusion()] + random_family[:20]:
             sets = compute_edit_sets(a)
             for policy, seed in ((LEXICOGRAPHIC, None), (SEEDED_RANDOM, 3)):
-                tables = build_edit_tables(sets, policy, seed)
-                for q, choice in tables.input_choice.items():
-                    assert choice in sets.safe_inputs[q]
-                for (q, x), choice in tables.output_choice.items():
-                    assert choice in sets.safe_outputs[(q, x)]
+                for safe, choice in build_edit_tables(sets, policy, seed).items():
+                    assert choice == select(safe, None, policy, seed)
+                    assert choice in safe
 
     def test_dead_location_raises(self):
         sets = compute_edit_sets(at_most_one_tick())

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from syncguard import (
     project_inputs,
     random_inputs,
 )
+from syncguard.editing import select
 
 from .strategies import mealy_programs, words
 
@@ -73,6 +76,54 @@ class TestTick:
         enforcer = Enforcer(mutual_exclusion())
         with pytest.raises(ValueError, match="width"):
             enforcer.tick(bv("10"), lambda x: bv("10"))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestDecision:
+    """Every single-tick decision at every accepting location, for every
+    observed input and output and every policy, against the rule read off
+    the automaton: keep the observed vector iff it is in its safe set,
+    else release the policy's pick from that set."""
+
+    @staticmethod
+    def _safe_outputs(a, q, x):
+        event = a.alphabet.event
+        return frozenset(
+            y for y in a.alphabet.output_events if a.delta[(q, event(x, y))] != a.violating
+        )
+
+    def test_every_decision_follows_the_rule(self, random_family):
+        automata = [
+            mutual_exclusion(),
+            normalize(parse_automaton((GOLDEN / "random19.aut").read_text())),
+        ] + random_family[::10]
+        for a in automata:
+            alphabet = a.alphabet
+            for policy in POLICIES:
+                enforcer = Enforcer(a, policy, seed=5)
+                for q in a.accepting_locations:
+                    safe_inputs = frozenset(
+                        x for x in alphabet.input_events if self._safe_outputs(a, q, x)
+                    )
+                    for x in alphabet.input_events:
+                        keep_x = x in safe_inputs
+                        fixed_x = x if keep_x else select(safe_inputs, x, policy, 5)
+                        safe_outputs = self._safe_outputs(a, q, fixed_x)
+                        for y in alphabet.output_events:
+                            keep_y = y in safe_outputs
+                            fixed_y = y if keep_y else select(safe_outputs, y, policy, 5)
+                            enforcer.restore((q, 0))
+                            record = enforcer.tick(x, lambda _: y)
+                            released = alphabet.event(fixed_x, fixed_y)
+                            assert record.observed == alphabet.event(x, y)
+                            assert record.released == released, (policy, q, x, y)
+                            assert (record.input_edited, record.output_edited) == (
+                                not keep_x,
+                                not keep_y,
+                            )
+                            assert record.state_after == a.delta[(q, released)]
 
 
 class TestRejectedTick:

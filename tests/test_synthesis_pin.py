@@ -22,7 +22,8 @@ from syncguard import (
 
 # SHA-256 over, per document of ``_raw_documents``: the rendered normalized
 # automaton, its sorted edit sets, and the ``lex`` and ``random`` (seed 7)
-# tables (or the NotEnforceableError message).
+# picks of every location's safe inputs and of each safe input's safe
+# outputs (or the NotEnforceableError message).
 SYNTHESIS_DIGEST = "f3015c5518388a786fbf7c61c482fba650fdee23a0ef49bd69c3a616f5c9b34b"
 # SHA-256 over the expansion (or the error message) of every {0,1,-}
 # pattern, and a set of malformed ones, for every interface of 0-4 variables.
@@ -74,10 +75,11 @@ def _synthesis_text(document):
         except NotEnforceableError as exc:
             parts.append(f"{policy}: {exc}")
             continue
-        for q in sorted(tables.input_choice):
-            parts.append(f"{policy} {q}: {tables.input_choice[q]}")
-        for (q, x) in sorted(tables.output_choice, key=lambda k: (k[0], str(k[1]))):
-            parts.append(f"{policy} {q} {x}: {tables.output_choice[(q, x)]}")
+        for q in sorted(sets.safe_inputs):
+            parts.append(f"{policy} {q}: {tables[sets.safe_inputs[q]]}")
+        for (q, x) in sorted(sets.safe_outputs, key=lambda k: (k[0], str(k[1]))):
+            if x in sets.safe_inputs[q]:
+                parts.append(f"{policy} {q} {x}: {tables[sets.safe_outputs[(q, x)]]}")
     return "\n".join(parts) + "\n"
 
 
