@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 WILDCARD = "-"
@@ -56,7 +55,7 @@ class BitVector:
         return iter(self.bits)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitVector) and self.bits == other.bits
+        return self is other or (isinstance(other, BitVector) and self.bits == other.bits)
 
     def __lt__(self, other: "BitVector") -> bool:
         return self.bits < other.bits
@@ -82,7 +81,7 @@ class Event:
         self._hash = hash((input.bits, output.bits))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Event)
             and self.input == other.input
             and self.output == other.output
@@ -137,6 +136,8 @@ class Alphabet:
     is their event.  So the events of one input are the contiguous slice
     ``events[x * 2**len(outputs) : (x + 1) * 2**len(outputs)]``, in output
     order; synthesis reads rows of a transition map through this layout.
+    Each enumeration is built on first read and kept on the instance;
+    equality and hash read ``inputs`` and ``outputs`` only.
     """
 
     inputs: tuple[str, ...]
@@ -164,32 +165,44 @@ class Alphabet:
 
     # -- enumeration, in numeric order of the rendered bit string --
 
-    @cached_property
+    @property
     def input_events(self) -> tuple[BitVector, ...]:
-        return tuple(
-            BitVector(bits) for bits in itertools.product((0, 1), repeat=len(self.inputs))
-        )
+        try:
+            return self._input_events
+        except AttributeError:
+            return self._keep("_input_events", _valuations(len(self.inputs)))
 
-    @cached_property
+    @property
     def output_events(self) -> tuple[BitVector, ...]:
-        return tuple(
-            BitVector(bits) for bits in itertools.product((0, 1), repeat=len(self.outputs))
-        )
+        try:
+            return self._output_events
+        except AttributeError:
+            return self._keep("_output_events", _valuations(len(self.outputs)))
 
-    @cached_property
+    @property
     def events(self) -> tuple[Event, ...]:
-        return tuple(
-            Event(x, y) for x in self.input_events for y in self.output_events
-        )
+        try:
+            return self._events
+        except AttributeError:
+            events = tuple(Event(x, y) for x in self.input_events for y in self.output_events)
+            return self._keep("_events", events)
 
-    @cached_property
-    def _events_by_pair(self) -> dict[tuple[BitVector, BitVector], Event]:
-        return {(e.input, e.output): e for e in self.events}
+    def _keep(self, name: str, value):
+        # Not functools.cached_property: writing through the instance
+        # __dict__ turns off CPython's fast attribute reads for this
+        # alphabet (2-3x slower on 3.11), which the tick and the oracle
+        # make on every step.
+        object.__setattr__(self, name, value)
+        return value
 
     def event(self, input: BitVector, output: BitVector) -> Event:
         """Interned event instance for a valid (input, output) pair."""
         try:
-            return self._events_by_pair[(input, output)]
+            by_pair = self._events_by_pair
+        except AttributeError:
+            by_pair = self._keep("_events_by_pair", {(e.input, e.output): e for e in self.events})
+        try:
+            return by_pair[(input, output)]
         except KeyError:
             raise ValueError(
                 f"event width mismatch: {input}/{output} over "
@@ -225,6 +238,11 @@ class Alphabet:
         ys = _codes(right.strip(), len(self.outputs), "output")
         events, shift = self.events, len(self.outputs)
         return tuple(events[(x << shift) | y] for x in xs for y in ys)
+
+
+def _valuations(width: int) -> tuple[BitVector, ...]:
+    """Every ``width``-bit vector, in numeric order of its bit string."""
+    return tuple(BitVector(bits) for bits in itertools.product((0, 1), repeat=width))
 
 
 def _codes(pattern: str, width: int, side: str) -> list[int]:

@@ -1,13 +1,16 @@
 """Brute-force reference semantics and constraint checking.
 
-Everything here is computed from the automaton alone: its initial
-location and :meth:`SafetyAutomaton.step`.  Locations are carried along
-words (a word's location is one ``step`` from its parent's), but never
-taken from the runtime's tracked location, its edit sets or its tables, so
-a state-tracking bug in the runtime cannot hide behind itself:
+Everything here is computed from the automaton alone: its alphabet, its
+initial location and its transitions (:meth:`SafetyAutomaton.step` and
+``delta``).  Locations are carried along words (a word's location is one
+``step`` from its parent's), but never taken from the runtime's tracked
+location, its rows, its edit sets or its tables, so a state-tracking bug in
+the runtime cannot hide behind itself:
 
-* :func:`oracle_enforce` rebuilds the released word step by step, deciding
-  each edit from the one-event extensions of the released prefix.
+* :func:`oracle_enforce` rebuilds the released word step by step.  An
+  observed event whose step from the released prefix's location avoids
+  the trap is released as is, after that one lookup; otherwise the edit
+  is decided from the one-event extensions of the released prefix.
 * :func:`check_constraints` enumerates every observed word up to a length
   bound and checks the six defining enforcer constraints literally as
   quantified, reporting the first counterexample per constraint.
@@ -27,7 +30,7 @@ from .automata import SafetyAutomaton
 from .bits import BitVector, Event, Word
 from .editing import NEAREST, canonical_policy, select
 from .runtime import Enforcer
-from .programs import ScriptedProgram
+from .programs import ConstantProgram
 
 CONSTRAINTS = (
     "soundness",
@@ -48,19 +51,28 @@ def oracle_step(
 ) -> Event:
     """Event released for one observed event after a given released prefix.
 
-    The prefix is run through the automaton once; each candidate event is
-    then one ``step`` from the location it reaches.  The input is kept iff
-    some output extends the released prefix into an accepted word (by the
-    projection lemma this is exactly the safe-input test the runtime
-    performs on its tracked location); the output is kept iff the
-    extension itself is accepted.  Repairs use the same selection policy as
-    the runtime, applied to sets recomputed here from the automaton alone.
+    The prefix is run through the automaton once, and the observed event
+    is one ``step`` from the location it reaches.  If that step avoids the
+    trap, the observed event is released unchanged (transparency): its
+    input has a safe output, the observed one, and its output is safe
+    given that input.  Only when it reaches the trap is every event read
+    from that location: the input is kept iff some output extends the
+    released prefix into an accepted word (by the projection lemma this is
+    exactly the safe-input test the runtime performs on its tracked
+    location); the output is kept iff the extension itself is accepted.
+    Repairs use the same selection policy as the runtime, applied to sets
+    recomputed here from the automaton alone.  An event that is not in
+    the alphabet raises ``ValueError``.
     """
     location = automaton.run(released)
+    alphabet = automaton.alphabet
     trap = automaton.violating
+    if automaton.step(location, observed) != trap:
+        return alphabet.event(observed.input, observed.output)
+    delta = automaton.delta
     safe: dict[BitVector, set[BitVector]] = {}
-    for event in automaton.alphabet.events:
-        if automaton.step(location, event) != trap:
+    for event in alphabet.events:
+        if delta[(location, event)] != trap:
             safe.setdefault(event.input, set()).add(event.output)
     if observed.input in safe:
         fixed_input = observed.input
@@ -71,7 +83,7 @@ def oracle_step(
         fixed_output = observed.output
     else:
         fixed_output = select(safe_outputs, observed.output, policy, seed)
-    return automaton.alphabet.event(fixed_input, fixed_output)
+    return alphabet.event(fixed_input, fixed_output)
 
 
 def oracle_enforce(
@@ -155,7 +167,11 @@ def check_constraints(
     which the later siblings are compared.  A released word that does not
     extend its parent's by one event (only a custom ``enforce`` makes one)
     is run again from the initial location.  Nothing is read from the
-    runtime but the released words.  Monotonicity is checked against the
+    runtime but the released words.  The runtime ticks each child word
+    from its parent's snapshot; its program is one
+    :class:`ConstantProgram` per event, built once per call, which answers
+    with the word's last observed output because the runtime calls the
+    program exactly once per tick.  Monotonicity is checked against the
     parent alone: the first word whose released word misses an ancestor's
     also misses its parent's, since the parent's extends every ancestor's.
 
@@ -175,6 +191,7 @@ def check_constraints(
         raise ValueError(f"enumeration budget exceeded: {total} words > {budget}")
 
     runtime = Enforcer(automaton, policy, seed) if enforce is None else None
+    children = [(e, ConstantProgram(alphabet, e.output)) for e in alphabet.events]
     step = automaton.step
     trap = automaton.violating
 
@@ -187,13 +204,15 @@ def check_constraints(
             results[name] = False
             counterexamples[name] = observed
 
-    def release_child(observed: Word, parent_released: Word, snap) -> tuple[Word, object]:
-        """Released word for observed, plus an opaque continuation token."""
+    def release_child(
+        observed: Word, parent_released: Word, snap, program: ConstantProgram
+    ) -> tuple[Word, object]:
+        """Released word for observed, plus an opaque continuation token;
+        ``program`` answers with observed's last output."""
         if enforce is not None:
             return enforce(observed), None
         runtime.restore(snap)
-        event = observed[-1]
-        record = runtime.tick(event.input, ScriptedProgram([event.output]))
+        record = runtime.tick(observed[-1].input, program)
         return parent_released + (record.released,), runtime.snapshot()
 
     def visit(observed: Word, observed_at: str, released: Word, snap, parent) -> None:
@@ -228,9 +247,9 @@ def check_constraints(
                 fail("causality", observed)
         if len(observed) < max_len:
             here = (released, released_at, {})
-            for event in alphabet.events:
+            for event, program in children:
                 child = observed + (event,)
-                child_released, child_snap = release_child(child, released, snap)
+                child_released, child_snap = release_child(child, released, snap, program)
                 visit(child, step(observed_at, event), child_released, child_snap, here)
 
     root_released = enforce(()) if enforce is not None else ()

@@ -27,9 +27,12 @@ from .editing import (
 from .programs import ScriptedProgram, TickFunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickRecord:
-    """What one enforcement step observed and released."""
+    """What one enforcement step observed and released.
+
+    Slotted, so a record has no ``__dict__``: a run keeps one per tick.
+    """
 
     t: int
     observed: Event

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +19,13 @@ from syncguard import (
     enforce_word,
     mutual_exclusion,
     non_enforceability_witness,
+    normalize,
     oracle_enforce,
+    parse_automaton,
     validate_witness,
 )
 from syncguard.bits import format_word
-from syncguard.editing import choose_nearest
+from syncguard.editing import choose_nearest, select
 from syncguard.oracle import oracle_step
 
 
@@ -296,6 +299,63 @@ def test_oracle_step_matches_published_edit_values():
     a = mutual_exclusion()
     released = oracle_step(a, (), ev("01/1"), NEAREST)
     assert released == ev("01/0")  # only output 0 may join B
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "observed", ["111/1", "11/11"], ids=["too-wide-input", "too-wide-output"]
+)
+def test_oracle_step_rejects_a_foreign_event(policy, observed):
+    # the runtime rejects the same vectors; the oracle must not repair them
+    a = mutual_exclusion()
+    for released in ((), (ev("10/1"),)):
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            oracle_step(a, released, ev(observed), policy, 7)
+
+
+class TestOracleStepDefinition:
+    """``oracle_step`` against its definition, rebuilt here from
+    ``SafetyAutomaton.accepts`` alone: keep the observed input iff some
+    output extends the released prefix into an accepted word, keep the
+    observed output iff the extension is accepted, otherwise release the
+    policy's pick from the set rebuilt by membership."""
+
+    @staticmethod
+    def _defined(a, released, observed, policy, seed):
+        alphabet = a.alphabet
+
+        def accepted(x, y):
+            return a.accepts(released + (alphabet.event(x, y),))
+
+        safe_inputs = frozenset(
+            x for x in alphabet.input_events if any(accepted(x, y) for y in alphabet.output_events)
+        )
+        x = observed.input
+        if x not in safe_inputs:
+            x = select(safe_inputs, x, policy, seed)
+        safe_outputs = frozenset(y for y in alphabet.output_events if accepted(x, y))
+        y = observed.output
+        if y not in safe_outputs:
+            y = select(safe_outputs, y, policy, seed)
+        return alphabet.event(x, y)
+
+    def test_every_accepted_prefix_and_event(self, random_family):
+        golden = Path(__file__).parent / "golden"
+        automata = [
+            mutual_exclusion(),
+            normalize(parse_automaton((golden / "random19.aut").read_text())),
+        ] + random_family[::10]
+        for a in automata:
+            events = a.alphabet.events
+            prefixes = [
+                w for n in range(3) for w in itertools.product(events, repeat=n) if a.accepts(w)
+            ]
+            for released in prefixes:
+                for observed in events:
+                    for policy in POLICIES:
+                        expected = self._defined(a, released, observed, policy, 7)
+                        got = oracle_step(a, released, observed, policy, 7)
+                        assert got == expected, (policy, released, observed)
 
 
 class _CompiledFormRead(Exception):

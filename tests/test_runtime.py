@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from syncguard import (
     Enforcer,
     Event,
     ScriptedProgram,
+    TickRecord,
     enforce_word,
     mutual_exclusion,
     normalize,
@@ -76,6 +78,41 @@ class TestTick:
         enforcer = Enforcer(mutual_exclusion())
         with pytest.raises(ValueError, match="width"):
             enforcer.tick(bv("10"), lambda x: bv("10"))
+
+
+class TestTickRecord:
+    """A record is slotted and frozen, and still replaces, compares and
+    prints as a dataclass."""
+
+    @staticmethod
+    def _record():
+        return Enforcer(mutual_exclusion(), NEAREST).tick(bv("11"), parse_program(CONSTANT_ONE))
+
+    def test_has_no_instance_dict(self):
+        record = self._record()
+        assert not hasattr(record, "__dict__")
+        assert TickRecord.__slots__ == (
+            "t", "observed", "released", "input_edited", "output_edited", "state_after"
+        )
+
+    def test_assignment_raises(self):
+        record = self._record()
+        for name in TickRecord.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+        assert record == self._record()
+
+    def test_replace_equality_and_repr(self):
+        record = self._record()
+        assert record == self._record() and hash(record) == hash(self._record())
+        changed = dataclasses.replace(record, released=record.observed)
+        assert changed != record
+        assert (changed.t, changed.released, changed.state_after) == (0, ev("11/1"), "q0")
+        assert dataclasses.replace(changed, released=ev("10/1")) == record
+        assert repr(record) == (
+            "TickRecord(t=0, observed=Event('11/1'), released=Event('10/1'), "
+            "input_edited=True, output_edited=False, state_after='q0')"
+        )
 
 
 GOLDEN = Path(__file__).parent / "golden"
