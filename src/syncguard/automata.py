@@ -130,8 +130,8 @@ class SafetyAutomaton:
         targets of input code x are the contiguous slice
         ``rows[q][x * 2**|O| : (x + 1) * 2**|O|]``, in output order.
         Gathered from ``delta`` the first time it is read, so every
-        synthesis step of every enforcer of this automaton shares one
-        gather.  The word-level oracle does not read it.
+        enforcer of this automaton and its rendering share one gather.
+        The word-level oracle does not read it.
         """
         try:
             return self._rows
@@ -187,9 +187,6 @@ class InputAutomaton:
             if location not in self.locations:
                 raise ValueError(f"unknown location {location!r}") from None
             raise ValueError(f"input width mismatch: {inputs}") from None
-
-    def safe_successor_exists(self, location: str, inputs: BitVector) -> bool:
-        return not self.successors(location, inputs) <= {self.violating}
 
 
 def parse_automaton(text: str) -> RawAutomaton:
@@ -287,7 +284,10 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     Locations unreachable from the initial one disappear (the trap is always
     retained as the completion target).  Accepting locations are named
     ``q0, q1, ...`` in breadth-first discovery order, visiting events in
-    ``alphabet.events`` order; the trap is named last.  Raises
+    ``alphabet.events`` order; the trap is named last.  ``delta`` is inserted
+    location by location in name order (the trap last), events in
+    ``alphabet.events`` order, so two normalized automata are equal iff their
+    ``delta`` values, in insertion order, are.  Raises
     :class:`EmptyPropertyError` if the initial state is violating (the
     property would reject the empty word).
 
@@ -379,11 +379,8 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
     Transitions are grouped per (source, target) pair and compressed with
     wildcards where a full input or output cube is covered.  The trap's
     self-loops are implied and omitted.  Each source's row of targets is
-    read once, in event-index order, and sliced per input as in
-    :func:`project_inputs`.  The rows are gathered here, not read from
-    :attr:`SafetyAutomaton.rows`: most automata rendered are candidates
-    thrown away during corpus generation, for which the cache costs
-    memory and buys nothing.
+    read from :attr:`SafetyAutomaton.rows` and sliced per input as in
+    :func:`project_inputs`.
     """
     alphabet = automaton.alphabet
     lines = [
@@ -393,7 +390,6 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
         f"initial: {automaton.initial}",
         f"violating: {automaton.violating}",
     ]
-    events, delta = alphabet.events, automaton.delta
     all_outputs = alphabet.output_events
     width = len(all_outputs)
     full_output_pattern = "-" * len(alphabet.outputs)
@@ -402,7 +398,7 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
     for src in automaton.locations:
         if src == automaton.violating:
             continue
-        row = [delta[(src, e)] for e in events]
+        row = automaton.rows[src]
         for dst in automaton.locations:
             count = row.count(dst)
             if not count:

@@ -72,9 +72,10 @@ def compute_edit_sets(
 
     ``safe_inputs[q]`` is empty exactly when q is a dead location; under an
     enforceable automaton every ``safe_outputs[(q, x)]`` with x safe is
-    non-empty (that is what makes output repair always possible).  Safe
-    inputs are read from the input automaton; safe outputs from each
-    location's row of :attr:`~syncguard.automata.SafetyAutomaton.rows`,
+    non-empty (that is what makes output repair always possible).  An
+    input x is safe at q iff the input automaton's targets
+    ``delta[(q, x)]`` are not the trap alone.  Safe outputs are read from
+    each location's row of :attr:`~syncguard.automata.SafetyAutomaton.rows`,
     sliced per input.  Equal slices (which outputs stay out of the trap)
     share one set, so each distinct pattern is hashed once and
     :func:`build_edit_tables` finds the shared sets by identity.
@@ -83,6 +84,7 @@ def compute_edit_sets(
         input_automaton = project_inputs(automaton)
     alphabet = automaton.alphabet
     rows, trap = automaton.rows, automaton.violating
+    relation, only_trap = input_automaton.delta, frozenset((trap,))
     input_events, output_events = alphabet.input_events, alphabet.output_events
     width = len(output_events)
     shared: dict[tuple[bool, ...], frozenset[BitVector]] = {}
@@ -90,7 +92,7 @@ def compute_edit_sets(
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]] = {}
     for q in automaton.accepting_locations:
         safe_inputs[q] = frozenset(
-            x for x in input_events if input_automaton.safe_successor_exists(q, x)
+            x for x in input_events if not relation[(q, x)] <= only_trap
         )
         safe = tuple(map(trap.__ne__, rows[q]))
         for k, x in enumerate(input_events):

@@ -40,6 +40,7 @@ CONSTRAINTS = (
     "causality",
     "weak_transparency",
 )
+WORD_BUDGET = 10**6  # most observed words one check_constraints call enumerates
 
 
 def oracle_step(
@@ -61,9 +62,11 @@ def oracle_step(
     exactly the safe-input test the runtime performs on its tracked
     location); the output is kept iff the extension itself is accepted.
     Repairs use the same selection policy as the runtime, applied to sets
-    recomputed here from the automaton alone.  An event that is not in
-    the alphabet raises ``ValueError``.
+    recomputed here from the automaton alone.  ``policy`` may be an alias
+    (``lex``, ``random``); an unknown name, or an event that is not in the
+    alphabet, raises ``ValueError``.
     """
+    policy = canonical_policy(policy)
     location = automaton.run(released)
     alphabet = automaton.alphabet
     trap = automaton.violating
@@ -142,7 +145,6 @@ def check_constraints(
     max_len: int = 4,
     seed: Optional[int] = None,
     enforce: Optional[Callable[[Word], Word]] = None,
-    budget: int = 10**6,
 ) -> ConstraintReport:
     """Check the six enforcer constraints over all words up to ``max_len``.
 
@@ -178,17 +180,20 @@ def check_constraints(
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
     observed words.  Raises ``ValueError`` for a negative ``max_len``, when
-    the enumeration would exceed ``budget`` words, or when a released
-    event is not in the alphabet.
+    the enumeration would exceed :data:`WORD_BUDGET` words (counted level
+    by level, stopping once past it), or when a released event is not in
+    the alphabet.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     policy = canonical_policy(policy)
     alphabet = automaton.alphabet
-    n_events = len(alphabet.events)
-    total = sum(n_events**k for k in range(max_len + 1))
-    if total > budget:
-        raise ValueError(f"enumeration budget exceeded: {total} words > {budget}")
+    total = level = 1
+    for _ in range(max_len):
+        level *= len(alphabet.events)
+        total += level
+        if total > WORD_BUDGET:
+            raise ValueError(f"enumeration budget exceeded: more than {WORD_BUDGET} words")
 
     runtime = Enforcer(automaton, policy, seed) if enforce is None else None
     children = [(e, ConstantProgram(alphabet, e.output)) for e in alphabet.events]

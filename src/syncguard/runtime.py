@@ -27,12 +27,17 @@ from .editing import (
 from .programs import ScriptedProgram, TickFunction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TickRecord:
     """What one enforcement step observed and released.
 
     Slotted, so a record has no ``__dict__``: a run keeps one per tick.
+    By hand, as ``slots=True`` makes a non-field assignment raise
+    ``TypeError`` on CPython 3.10/3.11; ``__reduce__`` rebuilds copies
+    through ``__init__``, as the default would assign to the frozen slots.
     """
+
+    __slots__ = ("t", "observed", "released", "input_edited", "output_edited", "state_after")
 
     t: int
     observed: Event
@@ -40,6 +45,9 @@ class TickRecord:
     input_edited: bool
     output_edited: bool
     state_after: str
+
+    def __reduce__(self):
+        return (TickRecord, tuple(getattr(self, name) for name in self.__slots__))
 
 
 class Enforcer:

@@ -236,6 +236,21 @@ class TestNormalize:
         with pytest.raises(EmptyPropertyError):
             normalize(parse_automaton(doc))
 
+    @staticmethod
+    def _inserted_in_order(a):
+        assert list(a.delta) == list(itertools.product(a.locations, a.alphabet.events))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=raw_automata())
+    def test_delta_inserted_location_by_location(self, raw):
+        self._inserted_in_order(normalize(raw))
+
+    def test_delta_inserted_location_by_location_over_the_families(
+        self, exhaustive_family, random_family
+    ):
+        for a in exhaustive_family + random_family:
+            self._inserted_in_order(normalize(a))
+
     @settings(max_examples=60, deadline=None)
     @given(raw=raw_automata())
     def test_normalization_preserves_language(self, raw):

@@ -274,6 +274,12 @@ class TestVerify:
         assert captured.out == ""
         assert "max_len" in captured.err
 
+    def test_over_budget_max_len_exits_two(self, s1_file, capsys):
+        assert main(["verify", s1_file, "--max-len", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumeration budget exceeded" in captured.err
+
 
 def test_bench_prints_result(s1_file, capsys):
     code = main(["bench", s1_file, "const:1", "--ticks", "50", "--runs", "1"])

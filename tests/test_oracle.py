@@ -7,6 +7,7 @@ import pytest
 from syncguard import (
     NEAREST,
     POLICIES,
+    Alphabet,
     BitVector,
     Enforcer,
     Event,
@@ -25,8 +26,8 @@ from syncguard import (
     validate_witness,
 )
 from syncguard.bits import format_word
-from syncguard.editing import choose_nearest, select
-from syncguard.oracle import oracle_step
+from syncguard.editing import canonical_policy, choose_nearest, select
+from syncguard.oracle import WORD_BUDGET, oracle_step
 
 
 def ev(text):
@@ -190,7 +191,20 @@ class TestCheckConstraints:
 
     def test_enumeration_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            check_constraints(mutual_exclusion(), NEAREST, max_len=8, budget=10**6)
+            check_constraints(mutual_exclusion(), NEAREST, max_len=8)
+
+    def test_budget_checked_without_counting_every_word(self):
+        # the count is never formed: it would have 6000 digits here
+        with pytest.raises(ValueError, match="enumeration budget exceeded"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=10_000)
+        # one event per level: the check stops once the budget is passed
+        single = Alphabet((), ())
+        (event,) = single.events
+        a = SafetyAutomaton(
+            single, ("q0", "qv"), "q0", "qv", {("q0", event): "q0", ("qv", event): "qv"}
+        )
+        with pytest.raises(ValueError, match=f"more than {WORD_BUDGET} words"):
+            check_constraints(a, NEAREST, max_len=10**9)
 
     def test_negative_max_len_rejected(self):
         with pytest.raises(ValueError, match="max_len"):
@@ -318,11 +332,13 @@ class TestOracleStepDefinition:
     ``SafetyAutomaton.accepts`` alone: keep the observed input iff some
     output extends the released prefix into an accepted word, keep the
     observed output iff the extension is accepted, otherwise release the
-    policy's pick from the set rebuilt by membership."""
+    policy's pick from the set rebuilt by membership.  The policy may be
+    named by an alias; an unknown name raises, even for a kept event."""
 
     @staticmethod
     def _defined(a, released, observed, policy, seed):
         alphabet = a.alphabet
+        policy = canonical_policy(policy)
 
         def accepted(x, y):
             return a.accepts(released + (alphabet.event(x, y),))
@@ -352,10 +368,12 @@ class TestOracleStepDefinition:
             ]
             for released in prefixes:
                 for observed in events:
-                    for policy in POLICIES:
+                    for policy in POLICIES + ("lex", "random"):
                         expected = self._defined(a, released, observed, policy, 7)
                         got = oracle_step(a, released, observed, policy, 7)
                         assert got == expected, (policy, released, observed)
+                    with pytest.raises(ValueError, match="unknown repair policy"):
+                        oracle_step(a, released, observed, "bogus", 7)
 
 
 class _CompiledFormRead(Exception):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
@@ -97,10 +99,15 @@ class TestTickRecord:
 
     def test_assignment_raises(self):
         record = self._record()
-        for name in TickRecord.__slots__:
+        for name in TickRecord.__slots__ + ("extra",):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, name, getattr(record, name))
+                setattr(record, name, getattr(record, name, 1))
         assert record == self._record()
+
+    def test_copy_and_pickle_round_trip(self):
+        record = self._record()
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record and type(clone) is TickRecord
 
     def test_replace_equality_and_repr(self):
         record = self._record()
@@ -311,7 +318,7 @@ class TestStateTracking:
         for x in random_inputs(a.alphabet, 64, seed=3):
             before = enforcer.location
             record = enforcer.tick(x, program)
-            assert record.input_edited == (not ai.safe_successor_exists(before, x))
+            assert record.input_edited == (ai.successors(before, x) <= {a.violating})
 
     def test_snapshot_restore_replays_identically(self):
         a = mutual_exclusion()
