@@ -40,12 +40,8 @@ from .editing import (
     canonical_policy,
     compute_edit_sets,
 )
-from .oracle import (
-    ConstraintReport,
-    check_constraints,
-    oracle_enforce,
-    validate_witness,
-)
+from .harness import ConstraintReport, check_constraints
+from .oracle import oracle_enforce, validate_witness
 from .programs import (
     ConstantProgram,
     MealyProgram,

@@ -12,7 +12,7 @@ location) cannot be repaired at all.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .automata import SafetyAutomaton, normalize
@@ -39,18 +39,14 @@ class NotEnforceableError(ValueError):
 
 
 def check_enforceability(automaton: SafetyAutomaton) -> EnforceabilityReport:
-    """Report the accepting locations whose every event falls into the trap.
-
-    Reads ``delta`` and stops at a location's first safe event, rather
-    than reading :attr:`~syncguard.automata.SafetyAutomaton.rows`: most
-    automata checked are candidates that corpus generation throws away,
-    for which the cache would cost memory and buy nothing.
-    """
-    trap = automaton.violating
+    """Report the accepting locations whose every event falls into the trap:
+    the rows of :attr:`~syncguard.automata.SafetyAutomaton.table` that name
+    the trap only."""
+    trap = automaton.index[automaton.violating]
     dead = tuple(
         q
-        for q in automaton.accepting_locations
-        if all(automaton.delta[(q, e)] == trap for e in automaton.alphabet.events)
+        for q, row in zip(automaton.locations, automaton.table)
+        if q != automaton.violating and row.count(trap) == len(row)
     )
     return EnforceabilityReport(enforceable=not dead, dead_locations=dead)
 
@@ -65,15 +61,17 @@ def non_enforceability_witness(automaton: SafetyAutomaton, dead_location: str) -
     """
     if dead_location == automaton.violating:
         raise ValueError("the violating trap is not a dead accepting location")
-    paths: dict[str, Word] = {automaton.initial: ()}
-    queue: deque[str] = deque((automaton.initial,))
+    table, events, index = automaton.table, automaton.alphabet.events, automaton.index
+    trap, goal = index[automaton.violating], index.get(dead_location)
+    start = index[automaton.initial]
+    paths: dict[int, Word] = {start: ()}
+    queue: deque[int] = deque((start,))
     while queue:
         location = queue.popleft()
-        if location == dead_location:
+        if location == goal:
             return paths[location]
-        for event in automaton.alphabet.events:
-            target = automaton.delta[(location, event)]
-            if target == automaton.violating or target in paths:
+        for event, target in zip(events, table[location]):
+            if target == trap or target in paths:
                 continue
             paths[target] = paths[location] + (event,)
             queue.append(target)
@@ -93,18 +91,23 @@ def transform_non_enforceable(automaton: SafetyAutomaton) -> Optional[SafetyAuto
     """
     automaton = normalize(automaton)
     while True:
-        dead = set(check_enforceability(automaton).dead_locations)
+        dead = check_enforceability(automaton).dead_locations
         if not dead:
             return automaton
         if automaton.initial in dead:
             return None
-        trap = automaton.violating
+        trap = automaton.index[automaton.violating]
+        doomed = {automaton.index[q] for q in dead}
+        table = tuple(
+            tuple(trap if target in doomed else target for target in row)
+            for row in automaton.table
+        )
         automaton = normalize(
-            replace(
-                automaton,
-                delta={
-                    key: trap if dst in dead else dst
-                    for key, dst in automaton.delta.items()
-                },
+            SafetyAutomaton._trusted(
+                automaton.alphabet,
+                automaton.locations,
+                automaton.initial,
+                automaton.violating,
+                table,
             )
         )

@@ -25,12 +25,12 @@ per declared variable, over ``0``, ``1`` and the wildcard ``-``.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from operator import or_
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 from .bits import Alphabet, BitVector, Event
 
@@ -83,86 +83,177 @@ class RawAutomaton:
         return any(s != self.violating for s in frontier)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SafetyAutomaton:
     """Deterministic, complete safety automaton with a unique violating trap.
 
-    Instances produced by :func:`normalize` carry canonical location names
-    ``q0, q1, ...`` in breadth-first discovery order, with the violating
-    trap named last; two normalized automata are isomorphic iff equal.
+    Locations are numbered by their position in ``locations`` (``index``
+    maps a name to its number) and events by their code, so the
+    transition function is one table: ``table[index[q]][e.code]`` is the
+    number of ``step(q, e)``.  Every location has a row, the trap's
+    included, in the event order :class:`~syncguard.bits.Alphabet` states,
+    so the targets of input code x are the contiguous slice
+    ``table[i][x * 2**|O| : (x + 1) * 2**|O|]``, in output order.
+    ``delta`` is the same function keyed by ``(location, event)``, read-only
+    and built from the table on first read, location by location in
+    ``locations`` order and events in ``alphabet.events`` order.
+
+    The constructor takes a ``delta`` mapping and validates it in full.
+    Instances produced by :func:`normalize` skip that check, as their
+    tables are total and trap-closed by construction; they carry
+    canonical location names ``q0, q1, ...`` in breadth-first discovery
+    order, with the violating trap named last, and two normalized
+    automata are isomorphic iff equal.
     """
 
     alphabet: Alphabet
     locations: tuple[str, ...]
     initial: str
     violating: str
-    delta: dict[tuple[str, Event], str]
+    table: tuple[tuple[int, ...], ...]
+    index: Mapping[str, int] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        locs = set(self.locations)
-        if len(locs) != len(self.locations):
-            raise ValueError("duplicate location names")
-        if self.initial not in locs or self.violating not in locs:
-            raise ValueError("initial and violating locations must be declared")
-        if self.initial == self.violating:
-            raise EmptyPropertyError("empty property: the initial location is violating")
-        events = set(self.alphabet.events)
-        if len(self.delta) != len(self.locations) * len(events):
-            raise ValueError("transition map must be total and deterministic")
-        for (src, event), dst in self.delta.items():
-            if src not in locs or dst not in locs:
-                raise ValueError(f"transition {src}->{dst} uses undeclared location")
-            if event not in events:
-                raise ValueError(f"transition label {event} is not in the alphabet")
-            if src == self.violating and dst != self.violating:
-                raise ValueError("violating location must be a trap")
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        locations: Sequence[str],
+        initial: str,
+        violating: str,
+        delta: Mapping[tuple[str, Event], str],
+    ):
+        locations = tuple(locations)
+        table, index = _validated_table(alphabet, locations, initial, violating, delta)
+        self._fill(alphabet, locations, initial, violating, table, index)
+
+    @classmethod
+    def _trusted(
+        cls,
+        alphabet: Alphabet,
+        locations: tuple[str, ...],
+        initial: str,
+        violating: str,
+        table: tuple[tuple[int, ...], ...],
+        index: Optional[Mapping[str, int]] = None,
+    ) -> "SafetyAutomaton":
+        """Construct without validation, from a table whose every row has
+        one in-range target per event and whose trap row is all trap."""
+        if index is None:
+            index = MappingProxyType({q: i for i, q in enumerate(locations)})
+        automaton = cls.__new__(cls)
+        automaton._fill(alphabet, locations, initial, violating, table, index)
+        return automaton
+
+    def _fill(self, alphabet, locations, initial, violating, table, index) -> None:
+        fill = object.__setattr__
+        fill(self, "alphabet", alphabet)
+        fill(self, "locations", locations)
+        fill(self, "initial", initial)
+        fill(self, "violating", violating)
+        fill(self, "table", table)
+        fill(self, "index", index)
+        fill(self, "_events", alphabet.events)
+
+    def __reduce__(self):
+        # the read-only mappings do not pickle; the table rebuilds them
+        return (
+            SafetyAutomaton._trusted,
+            (self.alphabet, self.locations, self.initial, self.violating, self.table),
+        )
 
     @property
     def accepting_locations(self) -> tuple[str, ...]:
         return tuple(q for q in self.locations if q != self.violating)
 
     @property
-    def rows(self) -> dict[str, tuple[str, ...]]:
-        """Every location's row of targets, the trap's included.
-
-        ``rows[q][i] == step(q, alphabet.events[i])``: a row is in the
-        event-index order :class:`~syncguard.bits.Alphabet` states, so the
-        targets of input code x are the contiguous slice
-        ``rows[q][x * 2**|O| : (x + 1) * 2**|O|]``, in output order.
-        Gathered from ``delta`` the first time it is read, so every
-        enforcer of this automaton and its rendering share one gather.
-        The word-level oracle does not read it.
-        """
+    def delta(self) -> Mapping[tuple[str, Event], str]:
         try:
-            return self._rows
+            return self._delta
         except AttributeError:
             pass
-        delta, events = self.delta, self.alphabet.events
-        rows = {q: tuple(map(delta.__getitem__, zip(repeat(q), events))) for q in self.locations}
-        # Not functools.cached_property: writing through the instance
-        # __dict__ turns off CPython's fast attribute reads for this
-        # automaton (2-3x slower on 3.11), which the oracle and the tick
-        # make on every step.
-        object.__setattr__(self, "_rows", rows)
-        return rows
+        keys = _delta_keys(self.alphabet, self.locations)
+        targets = map(self.locations.__getitem__, chain.from_iterable(self.table))
+        delta = MappingProxyType(dict(zip(keys, targets)))
+        # kept as Alphabet._keep keeps its enumerations, not by
+        # functools.cached_property, for the same fast attribute reads
+        object.__setattr__(self, "_delta", delta)
+        return delta
 
     def step(self, location: str, event: Event) -> str:
         try:
-            return self.delta[(location, event)]
+            row = self.table[self.index[location]]
         except KeyError:
-            if location not in self.locations:
-                raise ValueError(f"unknown location {location!r}") from None
-            raise ValueError(f"event width mismatch: {event} not in the alphabet") from None
+            raise ValueError(f"unknown location {location!r}") from None
+        try:
+            code = event.code
+            if self._events[code] is event:
+                return self.locations[row[code]]
+        except (AttributeError, IndexError):
+            pass
+        return self.locations[row[self.alphabet.code(event)]]
+
+    def walk(self, word: Sequence[Event]) -> int:
+        """Number of the location reached from the initial location over the
+        word; ``ValueError`` for an event not in the alphabet."""
+        table, events = self.table, self._events
+        q = self.index[self.initial]
+        try:
+            for event in word:
+                code = event.code
+                if events[code] is not event:
+                    code = self.alphabet.code(event)
+                q = table[q][code]
+        except (AttributeError, IndexError):
+            self.alphabet.code(event)  # raises, naming the event
+            raise
+        return q
 
     def run(self, word: Sequence[Event]) -> str:
         """Location reached from the initial location over the word."""
-        location = self.initial
-        for event in word:
-            location = self.step(location, event)
-        return location
+        return self.locations[self.walk(word)]
 
     def accepts(self, word: Sequence[Event]) -> bool:
         return self.run(word) != self.violating
+
+
+@lru_cache(maxsize=256)
+def _delta_keys(alphabet: Alphabet, locations: tuple[str, ...]) -> tuple[tuple[str, Event], ...]:
+    """``delta``'s keys in order, shared by the automata of one alphabet and
+    location list (all normalized automata of one size share the list)."""
+    return tuple(product(locations, alphabet.events))
+
+
+def _validated_table(
+    alphabet: Alphabet,
+    locations: tuple[str, ...],
+    initial: str,
+    violating: str,
+    delta: Mapping[tuple[str, Event], str],
+) -> tuple[tuple[tuple[int, ...], ...], Mapping[str, int]]:
+    """The table and location index of a hand-built automaton, once its
+    ``delta`` is checked total, deterministic, over declared locations and
+    alphabet events, and closed on the trap."""
+    index = {q: i for i, q in enumerate(locations)}
+    if len(index) != len(locations):
+        raise ValueError("duplicate location names")
+    if initial not in index or violating not in index:
+        raise ValueError("initial and violating locations must be declared")
+    if initial == violating:
+        raise EmptyPropertyError("empty property: the initial location is violating")
+    size = len(alphabet.events)
+    if len(delta) != len(locations) * size:
+        raise ValueError("transition map must be total and deterministic")
+    rows = [[0] * size for _ in locations]
+    for (src, event), dst in delta.items():
+        if src not in index or dst not in index:
+            raise ValueError(f"transition {src}->{dst} uses undeclared location")
+        try:
+            code = alphabet.code(event)
+        except ValueError:
+            raise ValueError(f"transition label {event} is not in the alphabet") from None
+        if src == violating and dst != violating:
+            raise ValueError("violating location must be a trap")
+        rows[index[src]][code] = index[dst]
+    return tuple(map(tuple, rows)), MappingProxyType(index)
 
 
 @dataclass(frozen=True)
@@ -284,82 +375,87 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     Locations unreachable from the initial one disappear (the trap is always
     retained as the completion target).  Accepting locations are named
     ``q0, q1, ...`` in breadth-first discovery order, visiting events in
-    ``alphabet.events`` order; the trap is named last.  ``delta`` is inserted
-    location by location in name order (the trap last), events in
-    ``alphabet.events`` order, so two normalized automata are equal iff their
-    ``delta`` values, in insertion order, are.  Raises
-    :class:`EmptyPropertyError` if the initial state is violating (the
-    property would reject the empty word).
+    ``alphabet.events`` order; the trap is named last.  The table is built
+    directly, one row per location in name order, so two normalized
+    automata are equal iff their tables are, and ``delta`` lists location
+    by location in name order.  Raises :class:`EmptyPropertyError` if the
+    initial state is violating (the property would reject the empty word).
 
     A set of raw states is an int bitmask (bit i for ``states[i]``, the
     violating state included, so {s} and {s, violating} are distinct
     macro-states), and each raw state's successors are a row of masks,
-    one per event index; a macro-state's row is the OR of its members'.
+    one per event code; a macro-state's row is the OR of its members'.
     """
-    if isinstance(automaton, SafetyAutomaton):
-        states = automaton.locations
-        transitions = ((src, event, dst) for (src, event), dst in automaton.delta.items())
-    else:
-        states, transitions = automaton.states, automaton.transitions
     if automaton.initial == automaton.violating:
         raise EmptyPropertyError("empty property: the initial state is violating")
-
     alphabet = automaton.alphabet
-    events = alphabet.events
-    index = {event: i for i, event in enumerate(events)}
-    bit = {s: 1 << i for i, s in enumerate(states)}
-    rows = {s: [0] * len(events) for s in states}
-    try:
-        for src, event, dst in transitions:
-            rows[src][index[event]] |= bit[dst]
-    except KeyError:
-        raise ValueError(
-            f"transition {src} -> {dst} : {event} uses an undeclared state "
-            "or a label outside the alphabet"
-        ) from None
-    violating = bit[automaton.violating]
+    if isinstance(automaton, SafetyAutomaton):
+        states = automaton.locations
+        rows = [[1 << target for target in row] for row in automaton.table]
+    else:
+        states = automaton.states
+        position = {s: i for i, s in enumerate(states)}
+        rows = [[0] * len(alphabet.events) for _ in states]
+        try:
+            for src, event, dst in automaton.transitions:
+                rows[position[src]][alphabet.code(event)] |= 1 << position[dst]
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"transition {src} -> {dst} : {event} uses an undeclared state "
+                "or a label outside the alphabet"
+            ) from None
+    start = 1 << states.index(automaton.initial)
+    violating = 1 << states.index(automaton.violating)
 
-    # Every mask without a non-violating member names the trap.
-    start = bit[automaton.initial]
-    names: dict[int, str] = {0: VIOLATING_NAME, violating: VIOLATING_NAME, start: "q0"}
-    count = 1
-    queue: deque[int] = deque((start,))
-    moves: dict[tuple[str, Event], str] = {}
-
-    while queue:
-        macro = queue.popleft()
-        members = [rows[s] for s in states if macro & bit[s]]
+    # Accepting macro-states in discovery order, numbered by position;
+    # every mask without a non-violating member names the trap, numbered
+    # once the count is known.
+    number: dict[int, int] = {0: -1, violating: -1, start: 0}
+    order = [start]
+    macro_rows = []
+    for macro in order:  # grows while it is read: a breadth-first queue
+        members = [row for i, row in enumerate(rows) if macro >> i & 1]
         row = members[0]
         for other in members[1:]:
             row = list(map(or_, row, other))
         for target in dict.fromkeys(row):  # first occurrences, in event order
-            if target not in names:
-                names[target] = f"q{count}"
-                count += 1
-                queue.append(target)
-        moves.update(zip(zip(repeat(names[macro]), events), map(names.__getitem__, row)))
+            if target not in number:
+                number[target] = len(order)
+                order.append(target)
+        macro_rows.append(row)
 
+    trap = number[0] = number[violating] = len(order)
+    table = tuple(tuple(map(number.__getitem__, row)) for row in macro_rows)
+    table += ((trap,) * len(alphabet.events),)
+    locations, index = _canonical_locations(trap)
+    return SafetyAutomaton._trusted(alphabet, locations, "q0", VIOLATING_NAME, table, index)
+
+
+@lru_cache(maxsize=None)
+def _canonical_locations(count: int) -> tuple[tuple[str, ...], Mapping[str, int]]:
+    """``q0 … q{count-1}`` and the trap, with their index: one pair per
+    count, shared by every normalized automaton of that size."""
     locations = tuple(f"q{i}" for i in range(count)) + (VIOLATING_NAME,)
-    for event in events:
-        moves[(VIOLATING_NAME, event)] = VIOLATING_NAME
-    return SafetyAutomaton(alphabet, locations, "q0", VIOLATING_NAME, moves)
+    return locations, MappingProxyType({q: i for i, q in enumerate(locations)})
 
 
 def project_inputs(automaton: SafetyAutomaton) -> InputAutomaton:
     """Erase outputs from transition labels, keeping the location set.
 
-    Slices each location's row of :attr:`SafetyAutomaton.rows` per input:
+    Slices each location's row of :attr:`SafetyAutomaton.table` per input:
     an input's successors are the targets of its contiguous slice.
     """
     alphabet = automaton.alphabet
+    locations = automaton.locations
     width = len(alphabet.output_events)
     relation: dict[tuple[str, BitVector], frozenset[str]] = {}
-    for q, row in automaton.rows.items():
+    for q, row in zip(locations, automaton.table):
         for k, x in enumerate(alphabet.input_events):
-            relation[(q, x)] = frozenset(row[k * width : (k + 1) * width])
+            targets = row[k * width : (k + 1) * width]
+            relation[(q, x)] = frozenset(map(locations.__getitem__, targets))
     return InputAutomaton(
         alphabet=alphabet,
-        locations=automaton.locations,
+        locations=locations,
         initial=automaton.initial,
         violating=automaton.violating,
         delta=relation,
@@ -379,7 +475,7 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
     Transitions are grouped per (source, target) pair and compressed with
     wildcards where a full input or output cube is covered.  The trap's
     self-loops are implied and omitted.  Each source's row of targets is
-    read from :attr:`SafetyAutomaton.rows` and sliced per input as in
+    read from :attr:`SafetyAutomaton.table` and sliced per input as in
     :func:`project_inputs`.
     """
     alphabet = automaton.alphabet
@@ -395,12 +491,11 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
     full_output_pattern = "-" * len(alphabet.outputs)
     full_input_pattern = "-" * len(alphabet.inputs)
 
-    for src in automaton.locations:
+    for src, row in zip(automaton.locations, automaton.table):
         if src == automaton.violating:
             continue
-        row = automaton.rows[src]
-        for dst in automaton.locations:
-            count = row.count(dst)
+        for dst_number, dst in enumerate(automaton.locations):
+            count = row.count(dst_number)
             if not count:
                 continue
             if count == len(row):
@@ -408,7 +503,7 @@ def render_automaton(automaton: SafetyAutomaton) -> str:
                 continue
             for k, x in enumerate(alphabet.input_events):
                 targets = row[k * width : (k + 1) * width]
-                outputs = [y for y, t in zip(all_outputs, targets) if t == dst]
+                outputs = [y for y, t in zip(all_outputs, targets) if t == dst_number]
                 if not outputs:
                     continue
                 if len(outputs) == width:

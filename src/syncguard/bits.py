@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 WILDCARD = "-"
@@ -25,16 +26,20 @@ class BitVector:
 
     Renders as the bare bit string, e.g. ``10`` for {A} over variables A, B.
     A zero-width vector (null interface) renders as the empty string.
+    ``code`` is the numeric value of that string (0 for the empty one).
     """
 
-    __slots__ = ("bits", "_hash")
+    __slots__ = ("bits", "code", "_hash")
 
     def __init__(self, bits: Iterable[int]):
         bits = tuple(bits)
+        code = 0
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
+            code = 2 * code + int(b)
         self.bits = bits
+        self.code = code
         self._hash = hash(bits)
 
     @classmethod
@@ -71,13 +76,18 @@ class BitVector:
 
 
 class Event:
-    """One reaction: an input valuation paired with an output valuation."""
+    """One reaction: an input valuation paired with an output valuation.
 
-    __slots__ = ("input", "output", "_hash")
+    ``code`` is ``input.code * 2**len(output) + output.code``, the event's
+    index in :attr:`Alphabet.events` when it is in the alphabet.
+    """
+
+    __slots__ = ("input", "output", "code", "_hash")
 
     def __init__(self, input: BitVector, output: BitVector):
         self.input = input
         self.output = output
+        self.code = (input.code << len(output.bits)) | output.code
         self._hash = hash((input.bits, output.bits))
 
     def __eq__(self, other) -> bool:
@@ -131,13 +141,19 @@ class Alphabet:
     :meth:`null` (no variables at all) has exactly one event.
 
     Enumerations are indexed by *code*, the numeric value of the rendered
-    bit string: ``input_events[x]`` and ``output_events[y]`` are the
-    valuations with codes x and y, and ``events[x * 2**len(outputs) + y]``
-    is their event.  So the events of one input are the contiguous slice
+    bit string (:attr:`BitVector.code`, :attr:`Event.code`):
+    ``input_events[x]`` and ``output_events[y]`` are the valuations with
+    codes x and y, and ``events[x * 2**len(outputs) + y]`` is their event.
+    So the events of one input are the contiguous slice
     ``events[x * 2**len(outputs) : (x + 1) * 2**len(outputs)]``, in output
-    order; synthesis reads rows of a transition map through this layout.
-    Each enumeration is built on first read and kept on the instance;
-    equality and hash read ``inputs`` and ``outputs`` only.
+    order; automata and synthesis index their transition tables by this
+    layout.  Every alphabet shares the valuations of a given width:
+    ``input_events``, ``output_events``, :meth:`input_vector` and
+    :meth:`output_vector` return the same instances, so an event of them
+    is found by its code (:meth:`event`).  An equal vector that is not one
+    of these instances is found by hash instead; a vector of another width
+    is in no event.  Each enumeration is built on first read and kept on
+    the instance; equality and hash read ``inputs`` and ``outputs`` only.
     """
 
     inputs: tuple[str, ...]
@@ -196,7 +212,19 @@ class Alphabet:
         return value
 
     def event(self, input: BitVector, output: BitVector) -> Event:
-        """Interned event instance for a valid (input, output) pair."""
+        """Interned event instance for a valid (input, output) pair.
+
+        The event at the pair's code is returned when it holds these very
+        vectors; any other pair is looked up by hash, so an equal copy
+        finds the same event and a pair outside the alphabet raises
+        ``ValueError`` even when its code is in range.
+        """
+        try:
+            event = self._events[(input.code << len(self.outputs)) | output.code]
+            if event.input is input and event.output is output:
+                return event
+        except (AttributeError, IndexError, TypeError):
+            pass
         try:
             by_pair = self._events_by_pair
         except AttributeError:
@@ -209,21 +237,28 @@ class Alphabet:
                 f"{len(self.inputs)} inputs, {len(self.outputs)} outputs"
             ) from None
 
+    def code(self, event: Event) -> int:
+        """Index of ``event`` in :attr:`events`, for one of them or an equal
+        copy; any other event raises ``ValueError``, even one whose code is
+        in range."""
+        events = self.events
+        try:
+            code = event.code
+            if events[code] is event or events[code] == event:
+                return code
+        except (AttributeError, IndexError, TypeError):
+            pass
+        raise ValueError(f"event width mismatch: {event} not in the alphabet")
+
     # -- text handling --
 
     def input_vector(self, text: str) -> BitVector:
-        if len(text) != len(self.inputs):
-            raise ValueError(
-                f"input pattern {text!r} has {len(text)} bits, expected {len(self.inputs)}"
-            )
-        return BitVector.from_text(text)
+        """The shared input valuation a bit string names."""
+        return _vector(text, len(self.inputs), self.input_events, "input")
 
     def output_vector(self, text: str) -> BitVector:
-        if len(text) != len(self.outputs):
-            raise ValueError(
-                f"output pattern {text!r} has {len(text)} bits, expected {len(self.outputs)}"
-            )
-        return BitVector.from_text(text)
+        """The shared output valuation a bit string names."""
+        return _vector(text, len(self.outputs), self.output_events, "output")
 
     def expand_input_pattern(self, pattern: str) -> tuple[BitVector, ...]:
         inputs = self.input_events
@@ -240,9 +275,19 @@ class Alphabet:
         return tuple(events[(x << shift) | y] for x in xs for y in ys)
 
 
+@lru_cache(maxsize=None)
 def _valuations(width: int) -> tuple[BitVector, ...]:
-    """Every ``width``-bit vector, in numeric order of its bit string."""
+    """Every ``width``-bit vector, in numeric order of its bit string; one
+    tuple per width, shared by every alphabet."""
     return tuple(BitVector(bits) for bits in itertools.product((0, 1), repeat=width))
+
+
+def _vector(text: str, width: int, valuations: tuple[BitVector, ...], side: str) -> BitVector:
+    if len(text) != width:
+        raise ValueError(f"{side} pattern {text!r} has {len(text)} bits, expected {width}")
+    if any(c not in "01" for c in text):
+        raise ValueError(f"invalid bit string {text!r}")
+    return valuations[int(text or "0", 2)]
 
 
 def _codes(pattern: str, width: int, side: str) -> list[int]:

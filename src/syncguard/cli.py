@@ -27,7 +27,7 @@ from .automata import (
 )
 from .bits import format_vector, format_word
 from .editing import NEAREST, build_edit_tables, canonical_policy, compute_edit_sets
-from .oracle import check_constraints
+from .harness import check_constraints
 from .programs import (
     ConstantProgram,
     ScriptedProgram,

@@ -8,22 +8,22 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
+from typing import Sequence
 
 from .analysis import check_enforceability
 from .automata import SafetyAutomaton, normalize
 from .bits import Alphabet
 
 
-def _candidate(alphabet: Alphabet, n: int, targets: Iterable[int]) -> SafetyAutomaton:
+def _candidate(alphabet: Alphabet, n: int, targets: Sequence[int]) -> SafetyAutomaton:
     """Normalized automaton over ``s0 … s{n-1}`` and the trap ``bad`` (index
-    n), taking one target index per (location, event) in that order."""
+    n), taking one target index in ``range(n + 1)`` per (location, event)
+    in that order.  Such a table is valid by construction, so the
+    candidate is built without validation."""
+    size = len(alphabet.events)
+    table = tuple(tuple(targets[i * size : (i + 1) * size]) for i in range(n)) + ((n,) * size,)
     locations = tuple(f"s{i}" for i in range(n)) + ("bad",)
-    events = alphabet.events
-    keys = [(src, event) for src in locations[:-1] for event in events]
-    delta = dict(zip(keys, map(locations.__getitem__, targets)))
-    delta.update((("bad", event), "bad") for event in events)
-    return normalize(SafetyAutomaton(alphabet, locations, "s0", "bad", delta))
+    return normalize(SafetyAutomaton._trusted(alphabet, locations, "s0", "bad", table))
 
 
 def all_normalized_automata(alphabet: Alphabet, max_accepting: int) -> list[SafetyAutomaton]:
@@ -31,16 +31,16 @@ def all_normalized_automata(alphabet: Alphabet, max_accepting: int) -> list[Safe
     ``max_accepting`` accepting locations (plus the trap) over the alphabet.
 
     Enumerates all total transition maps, normalizes, and keeps the first
-    of each isomorphism class, keyed by the ``delta`` values in the order
-    :func:`normalize` inserts them.  Feasible at desk scale only; the
-    count grows as (n+1)^(n*|events|).
+    of each isomorphism class, keyed by its table: :func:`normalize` numbers
+    locations canonically, so equal tables mean equal automata.  Feasible
+    at desk scale only; the count grows as (n+1)^(n*|events|).
     """
     size = len(alphabet.events)
-    distinct: dict[tuple[str, ...], SafetyAutomaton] = {}
+    distinct: dict[tuple[tuple[int, ...], ...], SafetyAutomaton] = {}
     for n in range(1, max_accepting + 1):
         for targets in itertools.product(range(n + 1), repeat=n * size):
             canonical = _candidate(alphabet, n, targets)
-            distinct.setdefault(tuple(canonical.delta.values()), canonical)
+            distinct.setdefault(canonical.table, canonical)
     return list(distinct.values())
 
 

@@ -75,7 +75,7 @@ def compute_edit_sets(
     non-empty (that is what makes output repair always possible).  An
     input x is safe at q iff the input automaton's targets
     ``delta[(q, x)]`` are not the trap alone.  Safe outputs are read from
-    each location's row of :attr:`~syncguard.automata.SafetyAutomaton.rows`,
+    each location's row of :attr:`~syncguard.automata.SafetyAutomaton.table`,
     sliced per input.  Equal slices (which outputs stay out of the trap)
     share one set, so each distinct pattern is hashed once and
     :func:`build_edit_tables` finds the shared sets by identity.
@@ -83,18 +83,20 @@ def compute_edit_sets(
     if input_automaton is None:
         input_automaton = project_inputs(automaton)
     alphabet = automaton.alphabet
-    rows, trap = automaton.rows, automaton.violating
-    relation, only_trap = input_automaton.delta, frozenset((trap,))
+    trap = automaton.index[automaton.violating]
+    relation, only_trap = input_automaton.delta, frozenset((automaton.violating,))
     input_events, output_events = alphabet.input_events, alphabet.output_events
     width = len(output_events)
     shared: dict[tuple[bool, ...], frozenset[BitVector]] = {}
     safe_inputs: dict[str, frozenset[BitVector]] = {}
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]] = {}
-    for q in automaton.accepting_locations:
+    for q, row in zip(automaton.locations, automaton.table):
+        if q == automaton.violating:
+            continue
         safe_inputs[q] = frozenset(
             x for x in input_events if not relation[(q, x)] <= only_trap
         )
-        safe = tuple(map(trap.__ne__, rows[q]))
+        safe = tuple(map(trap.__ne__, row))
         for k, x in enumerate(input_events):
             pattern = safe[k * width : (k + 1) * width]
             outputs = shared.get(pattern)

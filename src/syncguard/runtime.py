@@ -127,7 +127,7 @@ class Enforcer:
             released=released,
             input_edited=input_edited,
             output_edited=output_edited,
-            state_after=self.automaton.delta[(q, released)],
+            state_after=self.automaton.step(q, released),
         )
         self.location = record.state_after
         self.ticks += 1

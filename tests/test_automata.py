@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -6,11 +7,17 @@ from hypothesis import given, settings
 
 from syncguard import (
     Alphabet,
+    all_normalized_automata,
+    dead_end_branch,
+    dead_end_branch_repaired,
+    random_enforceable_automata,
+    transform_non_enforceable,
     BitVector,
     EmptyPropertyError,
     Event,
     ParseError,
     RawAutomaton,
+    SafetyAutomaton,
     isomorphic,
     mutual_exclusion,
     normalize,
@@ -260,6 +267,98 @@ class TestNormalize:
                 assert raw.accepts(word) == a.accepts(word)
 
 
+def _hand_built(alphabet, **changes):
+    """A two-location automaton over ``alphabet``, built by hand, with the
+    given constructor arguments replaced."""
+    events = alphabet.events
+    arguments = {
+        "locations": ("q0", "qv"),
+        "initial": "q0",
+        "violating": "qv",
+        "delta": {(q, e): q for q in ("q0", "qv") for e in events},
+    }
+    arguments.update(changes)
+    return SafetyAutomaton(alphabet, **arguments)
+
+
+def _rekey(delta, old, new):
+    """``delta`` with the key ``old`` renamed to ``new``, in place."""
+    return {(new if k == old else k): v for k, v in delta.items()}
+
+
+class TestHandBuiltValidation:
+    """A hand-built automaton is validated in full; each rejection names
+    what is wrong."""
+
+    def test_valid_automaton_is_accepted(self, alpha_11):
+        a = _hand_built(alpha_11)
+        assert a.accepts((ev("1/1"), ev("0/0")))
+        assert normalize(a) == a
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d, e: {"locations": ("q0", "q0", "qv")}, "duplicate location names"),
+            (lambda d, e: {"initial": "q9"}, "initial and violating locations must be declared"),
+            (lambda d, e: {"violating": "q9"}, "initial and violating locations must be declared"),
+            (
+                lambda d, e: {"delta": {k: v for k, v in d.items() if k != ("q0", e[0])}},
+                "transition map must be total and deterministic",
+            ),
+            (
+                lambda d, e: {"delta": {**d, ("q0", e[1]): "q9"}},
+                "transition q0->q9 uses undeclared location",
+            ),
+            (
+                lambda d, e: {"delta": _rekey(d, ("q0", e[1]), ("q9", e[1]))},
+                "transition q9->q0 uses undeclared location",
+            ),
+            (
+                lambda d, e: {"delta": _rekey(d, ("q0", e[3]), ("q0", ev("11/1")))},
+                "transition label 11/1 is not in the alphabet",
+            ),
+            (
+                # code (0 << 2) | 3 == 3, the code of 1/1 over one input and one output
+                lambda d, e: {"delta": _rekey(d, ("q0", e[3]), ("q0", ev("0/11")))},
+                "transition label 0/11 is not in the alphabet",
+            ),
+            (
+                lambda d, e: {"delta": {**d, ("qv", e[2]): "q0"}},
+                "violating location must be a trap",
+            ),
+        ],
+        ids=[
+            "duplicate", "initial-undeclared", "violating-undeclared", "not-total",
+            "undeclared-target", "undeclared-source", "foreign-label",
+            "foreign-label-code-in-range", "trap-leaves",
+        ],
+    )
+    def test_rejections_name_what_is_wrong(self, alpha_11, change, message):
+        delta = _hand_built(alpha_11).delta
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _hand_built(alpha_11, **change(dict(delta), alpha_11.events))
+
+    def test_initial_violating_location_is_an_empty_property(self, alpha_11):
+        with pytest.raises(EmptyPropertyError, match="initial location is violating"):
+            _hand_built(alpha_11, initial="qv")
+
+    def test_normalize_and_the_corpus_builders_never_validate(self, monkeypatch, alpha_11):
+        hand_built = _hand_built(alpha_11)
+        raw = parse_automaton(MUTEX_DOC)
+
+        def refuse(*args):
+            raise AssertionError("the validator ran")
+
+        monkeypatch.setattr("syncguard.automata._validated_table", refuse)
+        with pytest.raises(AssertionError, match="the validator ran"):
+            _hand_built(alpha_11)
+        assert normalize(hand_built) == hand_built
+        assert normalize(raw) == mutual_exclusion()
+        assert transform_non_enforceable(dead_end_branch()) == dead_end_branch_repaired()
+        assert len(all_normalized_automata(alpha_11, max_accepting=1)) > 1
+        assert len(random_enforceable_automata(alpha_11, 5, 2, seed=1)) == 5
+
+
 class TestMembership:
     def test_compliant_word(self):
         a = mutual_exclusion()
@@ -290,8 +389,26 @@ class TestMembership:
                 lambda a: project_inputs(a).successors("q0", BitVector.from_text("1")),
                 "input width mismatch: 1",
             ),
+            # 1/11 has code (1 << 2) | 3 == 7 over two inputs and one
+            # output, the code of 11/1: a lookup by code alone would take it
+            # for 11/1
+            (lambda a: a.step("q0", ev("1/11")), "event width mismatch: 1/11 not in the alphabet"),
+            (lambda a: a.step("qv", ev("1/11")), "event width mismatch: 1/11 not in the alphabet"),
+            (
+                lambda a: a.run((ev("10/0"), ev("1/11"))),
+                "event width mismatch: 1/11 not in the alphabet",
+            ),
+            (lambda a: a.accepts((ev("1/11"),)), "event width mismatch: 1/11 not in the alphabet"),
+            (
+                lambda a: a.alphabet.event(ev("1/11").input, ev("1/11").output),
+                "event width mismatch: 1/11 over 2 inputs, 1 outputs",
+            ),
         ],
-        ids=["step-location", "step-event", "successors-location", "successors-input"],
+        ids=[
+            "step-location", "step-event", "successors-location", "successors-input",
+            "step-code-in-range", "step-from-trap-code-in-range", "run-code-in-range",
+            "accepts-code-in-range", "alphabet-event-code-in-range",
+        ],
     )
     def test_lookup_errors_name_what_is_unknown(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -342,11 +459,75 @@ class TestProjection:
     @given(a=safety_automata())
     def test_rows_follow_the_event_layout(self, a):
         events = a.alphabet.events
-        assert len(a.rows) == len(a.locations)
+        assert len(a.table) == len(a.locations)
         for q in a.locations:
-            assert len(a.rows[q]) == len(events)
+            row = a.table[a.index[q]]
+            assert len(row) == len(events)
             for i, event in enumerate(events):
-                assert a.rows[q][i] == a.step(q, event)
+                assert a.locations[row[i]] == a.step(q, event)
+
+
+class TestTable:
+    """The table against ``delta`` and a walk of ``delta`` by hashed
+    lookups, over the corpus families and normalized raw automata."""
+
+    @staticmethod
+    def _agrees_with_delta(a, rng):
+        events = a.alphabet.events
+        delta = a.delta
+        for q in a.locations:
+            for i, event in enumerate(events):
+                assert a.locations[a.table[a.index[q]][i]] == delta[(q, event)]
+        # the validating constructor rebuilds the same table from delta alone
+        rebuilt = SafetyAutomaton(a.alphabet, a.locations, a.initial, a.violating, dict(delta))
+        assert rebuilt.table == a.table and rebuilt == a
+        for _ in range(10):
+            word = tuple(rng.choice(events) for _ in range(rng.randint(0, 6)))
+            location = a.initial
+            for event in word:
+                location = delta[(location, event)]
+            copies = tuple(ev(str(event)) for event in word)
+            assert a.run(word) == a.run(copies) == location
+            assert a.locations[a.walk(word)] == location
+            if word:
+                assert a.step(a.run(word[:-1]), copies[-1]) == location
+
+    def test_families(self, exhaustive_family, random_family):
+        rng = random.Random(3)
+        for a in exhaustive_family + random_family:
+            self._agrees_with_delta(a, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=raw_automata())
+    def test_normalized_raw_automata(self, raw):
+        self._agrees_with_delta(normalize(raw), random.Random(5))
+
+    def test_equality_and_isomorphism_over_the_families(self, exhaustive_family, random_family):
+        assert len(set(exhaustive_family)) == len(exhaustive_family)
+        for family in (exhaustive_family, random_family):
+            # equal exactly when the renders are (the random family repeats some)
+            assert len(set(family)) == len({render_automaton(a) for a in family})
+            for a in family:
+                b = normalize(a)
+                assert b == a and hash(b) == hash(a) and isomorphic(a, b)
+        for a in exhaustive_family[::250] + random_family[::10]:
+            # the same automaton with its locations renamed and listed in reverse
+            names = {q: f"x{i}" for i, q in enumerate(a.locations)}
+            renamed = SafetyAutomaton(
+                a.alphabet,
+                tuple(names[q] for q in reversed(a.locations)),
+                names[a.initial],
+                names[a.violating],
+                {(names[q], event): names[target] for (q, event), target in a.delta.items()},
+            )
+            assert renamed != a and isomorphic(renamed, a) and normalize(renamed) == a
+
+    def test_delta_is_read_only(self):
+        a = mutual_exclusion()
+        with pytest.raises(TypeError):
+            a.delta[("q0", a.alphabet.events[0])] = "qv"
+        with pytest.raises(AttributeError):
+            a.table = ()
 
 
 class TestRendering:

@@ -77,7 +77,13 @@ def test_event_interning():
     alpha = Alphabet(("A",), ("B",))
     x = BitVector.from_text("1")
     y = BitVector.from_text("0")
-    assert alpha.event(x, y) is alpha.event(x, y)
+    assert alpha.event(x, y) is alpha.event(x, y) is alpha.events[2]
+    # every alphabet shares the vectors of a width, and finds their event by code
+    shared_x, shared_y = alpha.input_vector("1"), alpha.output_vector("0")
+    assert shared_x is Alphabet(("C",), ()).input_events[1] and shared_x is not x
+    assert shared_y is alpha.output_events[0] and (shared_x.code, shared_y.code) == (1, 0)
+    assert alpha.event(shared_x, shared_y) is alpha.events[2]
+    assert alpha.events[2].code == 2 and alpha.code(Event.from_text("1/0")) == 2
     with pytest.raises(ValueError):
         alpha.event(BitVector.from_text("11"), y)
 

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,8 @@ from syncguard import (
 )
 from syncguard.bits import format_word
 from syncguard.editing import canonical_policy, choose_nearest, select
-from syncguard.oracle import WORD_BUDGET, oracle_step
+from syncguard.harness import WORD_BUDGET
+from syncguard.oracle import oracle_step
 
 
 def ev(text):
@@ -220,6 +223,17 @@ class TestCheckConstraints:
         with pytest.raises(ValueError, match="width"):
             check_constraints(a, NEAREST, max_len=2, enforce=wrong_width)
 
+    def test_foreign_event_with_an_in_range_code_raises(self):
+        # 1/11 has code (1 << 2) | 3 == 7 over two inputs and one output,
+        # the code of 11/1: a lookup by code alone would step it as 11/1
+        foreign = ev("1/11")
+
+        def colliding(observed):
+            return tuple(foreign for _ in observed)
+
+        with pytest.raises(ValueError, match="^event width mismatch: 1/11 not in the alphabet$"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=1, enforce=colliding)
+
     def test_rejects_dead_automata(self):
         from syncguard import NotEnforceableError
 
@@ -317,7 +331,9 @@ def test_oracle_step_matches_published_edit_values():
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize(
-    "observed", ["111/1", "11/11"], ids=["too-wide-input", "too-wide-output"]
+    "observed",
+    ["111/1", "11/11", "1/11"],
+    ids=["too-wide-input", "too-wide-output", "code-in-range"],
 )
 def test_oracle_step_rejects_a_foreign_event(policy, observed):
     # the runtime rejects the same vectors; the oracle must not repair them
@@ -380,6 +396,10 @@ class _CompiledFormRead(Exception):
     pass
 
 
+# What the runtime compiles an automaton into, and the runtime itself.
+COMPILED_FORM = ("project_inputs", "compute_edit_sets", "build_edit_tables", "Enforcer")
+
+
 def test_oracle_reads_nothing_of_the_compiled_form(monkeypatch):
     a = mutual_exclusion()
     observed = (ev("10/1"), ev("11/1"), ev("01/1"))
@@ -401,10 +421,43 @@ def test_oracle_reads_nothing_of_the_compiled_form(monkeypatch):
 
     unpatched = verdicts()
 
-    def forbidden(self):
-        raise _CompiledFormRead("SafetyAutomaton.rows was read")
+    def forbidden(*args, **kwargs):
+        raise _CompiledFormRead("the oracle built or read the runtime's compiled form")
 
-    monkeypatch.setattr(SafetyAutomaton, "rows", property(forbidden))
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("syncguard"):
+            for name in COMPILED_FORM:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(_CompiledFormRead):
-        Enforcer(a)  # synthesis reads the rows, so the patch is live
+        Enforcer(a)  # the runtime builds its form through these names, so the patch is live
     assert verdicts() == unpatched
+
+
+# Names each module may give ``oracle.py``: the automaton, events, and the
+# repair policies' one dispatcher, but no edit set, table, input
+# projection, program or runtime.
+ORACLE_IMPORTS = {
+    "__future__": {"annotations"},
+    "typing": {"Optional"},
+    "automata": {"SafetyAutomaton"},
+    "bits": {"BitVector", "Event", "Word"},
+    "editing": {"NEAREST", "canonical_policy", "select"},
+}
+
+
+def test_oracle_imports_only_the_automaton_and_the_policy_dispatcher():
+    import syncguard.oracle
+
+    tree = ast.parse(Path(syncguard.oracle.__file__).read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            names = imported.setdefault(node.module or "", set())
+            names.update(alias.name for alias in node.names)
+    for module, names in imported.items():
+        assert module in ORACLE_IMPORTS, f"oracle.py imports {module}"
+        assert names <= ORACLE_IMPORTS[module], f"oracle.py imports {names} from {module}"
