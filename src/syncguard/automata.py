@@ -151,7 +151,6 @@ class SafetyAutomaton:
         fill(self, "violating", violating)
         fill(self, "table", table)
         fill(self, "index", index)
-        fill(self, "_events", alphabet.events)
 
     def __reduce__(self):
         # the read-only mappings do not pickle; the table rebuilds them
@@ -173,8 +172,9 @@ class SafetyAutomaton:
         keys = _delta_keys(self.alphabet, self.locations)
         targets = map(self.locations.__getitem__, chain.from_iterable(self.table))
         delta = MappingProxyType(dict(zip(keys, targets)))
-        # kept as Alphabet._keep keeps its enumerations, not by
-        # functools.cached_property, for the same fast attribute reads
+        # not functools.cached_property: writing through the instance
+        # __dict__ turns off CPython's fast attribute reads for this
+        # automaton (2-3x slower on 3.11), which the tick makes on every step
         object.__setattr__(self, "_delta", delta)
         return delta
 
@@ -185,7 +185,7 @@ class SafetyAutomaton:
             raise ValueError(f"unknown location {location!r}") from None
         try:
             code = event.code
-            if self._events[code] is event:
+            if self.alphabet.events[code] is event:
                 return self.locations[row[code]]
         except (AttributeError, IndexError):
             pass
@@ -194,7 +194,7 @@ class SafetyAutomaton:
     def walk(self, word: Sequence[Event]) -> int:
         """Number of the location reached from the initial location over the
         word; ``ValueError`` for an event not in the alphabet."""
-        table, events = self.table, self._events
+        table, events = self.table, self.alphabet.events
         q = self.index[self.initial]
         try:
             for event in word:

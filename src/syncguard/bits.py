@@ -147,13 +147,14 @@ class Alphabet:
     So the events of one input are the contiguous slice
     ``events[x * 2**len(outputs) : (x + 1) * 2**len(outputs)]``, in output
     order; automata and synthesis index their transition tables by this
-    layout.  Every alphabet shares the valuations of a given width:
-    ``input_events``, ``output_events``, :meth:`input_vector` and
-    :meth:`output_vector` return the same instances, so an event of them
-    is found by its code (:meth:`event`).  An equal vector that is not one
-    of these instances is found by hash instead; a vector of another width
-    is in no event.  Each enumeration is built on first read and kept on
-    the instance; equality and hash read ``inputs`` and ``outputs`` only.
+    layout.  The enumerations depend only on the interface's shape, its
+    input and output counts: every alphabet of one shape is given the same
+    three tuples when it is made, and :meth:`input_vector` and
+    :meth:`output_vector` return their instances.  :meth:`event` reads
+    the event at a pair's code and returns it when it holds those vectors
+    or equal copies, so a vector of another width is in no event.
+    Equality and hash read ``inputs`` and ``outputs`` only, and a pickled
+    or copied alphabet is rebuilt from them.
     """
 
     inputs: tuple[str, ...]
@@ -174,68 +175,37 @@ class Alphabet:
             raise ValueError(
                 f"interface declares {width} variables; at most {MAX_VARIABLES} are supported"
             )
+        object.__setattr__(self, "input_events", _valuations(len(self.inputs)))
+        object.__setattr__(self, "output_events", _valuations(len(self.outputs)))
+        object.__setattr__(self, "events", _events(len(self.inputs), len(self.outputs)))
 
     @classmethod
     def null(cls) -> "Alphabet":
         return cls((), ())
 
-    # -- enumeration, in numeric order of the rendered bit string --
-
-    @property
-    def input_events(self) -> tuple[BitVector, ...]:
-        try:
-            return self._input_events
-        except AttributeError:
-            return self._keep("_input_events", _valuations(len(self.inputs)))
-
-    @property
-    def output_events(self) -> tuple[BitVector, ...]:
-        try:
-            return self._output_events
-        except AttributeError:
-            return self._keep("_output_events", _valuations(len(self.outputs)))
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        try:
-            return self._events
-        except AttributeError:
-            events = tuple(Event(x, y) for x in self.input_events for y in self.output_events)
-            return self._keep("_events", events)
-
-    def _keep(self, name: str, value):
-        # Not functools.cached_property: writing through the instance
-        # __dict__ turns off CPython's fast attribute reads for this
-        # alphabet (2-3x slower on 3.11), which the tick and the oracle
-        # make on every step.
-        object.__setattr__(self, name, value)
-        return value
+    def __reduce__(self):
+        # rebuilt from the names, so a copy shares the events again
+        return (Alphabet, (self.inputs, self.outputs))
 
     def event(self, input: BitVector, output: BitVector) -> Event:
         """Interned event instance for a valid (input, output) pair.
 
-        The event at the pair's code is returned when it holds these very
-        vectors; any other pair is looked up by hash, so an equal copy
-        finds the same event and a pair outside the alphabet raises
-        ``ValueError`` even when its code is in range.
+        The event at the pair's code is returned when it holds these
+        vectors or equal copies; any other pair raises ``ValueError``,
+        even one whose code is in range.
         """
         try:
-            event = self._events[(input.code << len(self.outputs)) | output.code]
-            if event.input is input and event.output is output:
+            event = self.events[(input.code << len(self.outputs)) | output.code]
+            if (event.input is input and event.output is output) or (
+                event.input == input and event.output == output
+            ):
                 return event
         except (AttributeError, IndexError, TypeError):
             pass
-        try:
-            by_pair = self._events_by_pair
-        except AttributeError:
-            by_pair = self._keep("_events_by_pair", {(e.input, e.output): e for e in self.events})
-        try:
-            return by_pair[(input, output)]
-        except KeyError:
-            raise ValueError(
-                f"event width mismatch: {input}/{output} over "
-                f"{len(self.inputs)} inputs, {len(self.outputs)} outputs"
-            ) from None
+        raise ValueError(
+            f"event width mismatch: {input}/{output} over "
+            f"{len(self.inputs)} inputs, {len(self.outputs)} outputs"
+        )
 
     def code(self, event: Event) -> int:
         """Index of ``event`` in :attr:`events`, for one of them or an equal
@@ -280,6 +250,14 @@ def _valuations(width: int) -> tuple[BitVector, ...]:
     """Every ``width``-bit vector, in numeric order of its bit string; one
     tuple per width, shared by every alphabet."""
     return tuple(BitVector(bits) for bits in itertools.product((0, 1), repeat=width))
+
+
+@lru_cache(maxsize=None)
+def _events(n_in: int, n_out: int) -> tuple[Event, ...]:
+    """Every event over ``n_in`` inputs and ``n_out`` outputs, in code order;
+    one tuple per shape, shared by every alphabet."""
+    outputs = _valuations(n_out)
+    return tuple(Event(x, y) for x in _valuations(n_in) for y in outputs)
 
 
 def _vector(text: str, width: int, valuations: tuple[BitVector, ...], side: str) -> BitVector:

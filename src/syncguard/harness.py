@@ -141,12 +141,12 @@ def check_constraints(
         observed input of its children), or None at the root."""
         nonlocal words
         words += 1
-        extends = (
-            parent is not None
-            and len(released) == len(parent[0]) + 1
-            and released[:-1] == parent[0]
-        )
-        released_at = table[parent[1]][code(released[-1])] if extends else automaton.walk(released)
+        extends = False
+        if parent is not None:
+            parent_released, parent_at, fixed_inputs = parent
+            monotone = released[: len(parent_released)] == parent_released
+            extends = monotone and len(released) == len(parent_released) + 1
+        released_at = table[parent_at][code(released[-1])] if extends else automaton.walk(released)
         if released_at == trap:
             fail("soundness", observed)
         if len(released) != len(observed):
@@ -154,8 +154,7 @@ def check_constraints(
         if observed_at != trap and released != observed:
             fail("weak_transparency", observed)
         if parent is not None:
-            parent_released, parent_at, fixed_inputs = parent
-            if released[: len(parent_released)] != parent_released:
+            if not monotone:
                 fail("monotonicity", observed)
             event = observed[-1]
             if table[parent_at][event.code] != trap and not (extends and released[-1] == event):

@@ -97,7 +97,23 @@ class Enforcer:
         return (self.location, self.ticks)
 
     def restore(self, snapshot: tuple[str, int]) -> None:
-        self.location, self.ticks = snapshot
+        """Return to a state :meth:`snapshot` took.
+
+        Anything but a pair of an accepting location of this automaton
+        and a non-negative int raises ValueError, leaving the state
+        unchanged.
+        """
+        if isinstance(snapshot, tuple) and len(snapshot) == 2:
+            location, ticks = snapshot
+            automaton = self.automaton
+            try:
+                accepting = location in automaton.index and location != automaton.violating
+            except TypeError:  # unhashable, so no location
+                accepting = False
+            if accepting and isinstance(ticks, int) and not isinstance(ticks, bool) and ticks >= 0:
+                self.location, self.ticks = location, ticks
+                return
+        raise ValueError(f"not a snapshot of this enforcer: {snapshot!r}")
 
     def tick(self, inputs: BitVector, program: TickFunction) -> TickRecord:
         """Run one enforcement step and return what happened.

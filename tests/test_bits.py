@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import pytest
 
 from syncguard import Alphabet, BitVector, Event
 from syncguard.bits import MAX_VARIABLES
+from syncguard.samples import mutual_exclusion
 
 
 def test_bitvector_rendering_follows_declaration_order():
@@ -107,3 +111,39 @@ def test_event_index_layout():
             for y, yv in enumerate(alpha.output_events):
                 assert int(str(yv) or "0", 2) == y
                 assert alpha.events[x * 2**n_out + y] == Event(xv, yv)
+
+
+def test_alphabets_of_one_shape_share_their_events():
+    a, b = Alphabet(("A", "B"), ("R",)), Alphabet(("X", "Y"), ("Z",))
+    assert a != b
+    assert a.events is b.events
+    assert a.input_events is b.input_events
+    assert a.output_events is b.output_events
+
+
+def test_event_of_equal_copies_is_the_shared_event():
+    alpha = Alphabet(("A", "B"), ("R",))
+    for event in alpha.events:
+        x, y = BitVector.from_text(str(event.input)), BitVector.from_text(str(event.output))
+        assert x is not event.input and y is not event.output
+        assert alpha.event(x, y) is event
+    shared_y = alpha.output_vector("1")
+    for x, y in [
+        # code (1 << 1) | 3 == 5 is in range, but no event holds these widths
+        (BitVector.from_text("1"), BitVector.from_text("11")),
+        ((1, 0), shared_y),  # a tuple in place of a vector
+    ]:
+        with pytest.raises(ValueError, match="event width mismatch"):
+            alpha.event(x, y)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_share_the_events(clone):
+    automaton = mutual_exclusion()
+    alphabet, copied = clone(automaton.alphabet), clone(automaton)
+    assert alphabet == automaton.alphabet and copied == automaton
+    assert alphabet.events is copied.alphabet.events is automaton.alphabet.events

@@ -331,6 +331,21 @@ class TestStateTracking:
         again = enforcer.tick(bv("11"), program)
         assert first == again
 
+    @pytest.mark.parametrize(
+        "snapshot",
+        [("qv", 0), ("nope", 0), (["q0"], 0), ("q0", "x"), ("q0", True), ("q0", -1), "q0"],
+        ids=["trap", "unknown", "unhashable", "str-ticks", "bool-ticks", "negative", "bare-name"],
+    )
+    def test_restore_rejects_a_bad_snapshot(self, snapshot):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        program = parse_program(CONSTANT_ONE)
+        enforcer.tick(bv("10"), program)
+        before = enforcer.snapshot()
+        with pytest.raises(ValueError, match="not a snapshot"):
+            enforcer.restore(snapshot)
+        assert enforcer.snapshot() == before
+        assert enforcer.tick(bv("11"), program).t == before[1]
+
 
 class TestReplayMonotonicity:
     @settings(max_examples=25, deadline=None)
