@@ -179,32 +179,20 @@ class SafetyAutomaton:
         return delta
 
     def step(self, location: str, event: Event) -> str:
+        """Successor of a location by an event :meth:`Alphabet.code` finds, or ``ValueError``."""
         try:
             row = self.table[self.index[location]]
         except KeyError:
             raise ValueError(f"unknown location {location!r}") from None
-        try:
-            code = event.code
-            if self.alphabet.events[code] is event:
-                return self.locations[row[code]]
-        except (AttributeError, IndexError):
-            pass
         return self.locations[row[self.alphabet.code(event)]]
 
     def walk(self, word: Sequence[Event]) -> int:
         """Number of the location reached from the initial location over the
         word; ``ValueError`` for an event not in the alphabet."""
-        table, events = self.table, self.alphabet.events
+        table, code = self.table, self.alphabet.code
         q = self.index[self.initial]
-        try:
-            for event in word:
-                code = event.code
-                if events[code] is not event:
-                    code = self.alphabet.code(event)
-                q = table[q][code]
-        except (AttributeError, IndexError):
-            self.alphabet.code(event)  # raises, naming the event
-            raise
+        for event in word:
+            q = table[q][code(event)]
         return q
 
     def run(self, word: Sequence[Event]) -> str:

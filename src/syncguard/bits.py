@@ -5,13 +5,17 @@ ordered list of Boolean output variables.  A concrete input (or output)
 valuation is a fixed-width :class:`BitVector` whose k-th bit is the value of
 the k-th declared variable; an input/output pair is an :class:`Event`.  A
 word is a plain tuple of events.
+
+There is one instance per value: constructing, parsing, copying or
+unpickling a vector or an event returns the member of the one enumeration
+of its width or interface shape, so equality is identity.  One of more
+than :data:`MAX_VARIABLES` bits fits no interface and raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 WILDCARD = "-"
@@ -27,26 +31,30 @@ class BitVector:
     Renders as the bare bit string, e.g. ``10`` for {A} over variables A, B.
     A zero-width vector (null interface) renders as the empty string.
     ``code`` is the numeric value of that string (0 for the empty one).
+    ``BitVector(bits)`` is the shared vector of those bits (``True`` and
+    ``1.0`` count as 1).
     """
 
-    __slots__ = ("bits", "code", "_hash")
+    __slots__ = ("bits", "code")
 
-    def __init__(self, bits: Iterable[int]):
-        bits = tuple(bits)
-        code = 0
+    def __new__(cls, bits: Iterable[int]) -> "BitVector":
+        code = width = 0
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
             code = 2 * code + int(b)
-        self.bits = bits
-        self.code = code
-        self._hash = hash(bits)
+            width += 1
+        return _valuations(width)[code]
+
+    def __reduce__(self):
+        # copies and unpickled vectors are the shared instance again
+        return (BitVector, (self.bits,))
 
     @classmethod
     def from_text(cls, text: str) -> "BitVector":
         if any(c not in "01" for c in text):
             raise ValueError(f"invalid bit string {text!r}")
-        return cls(int(c) for c in text)
+        return cls(map(int, text))
 
     def hamming(self, other: "BitVector") -> int:
         if len(self.bits) != len(other.bits):
@@ -59,14 +67,8 @@ class BitVector:
     def __iter__(self):
         return iter(self.bits)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, BitVector) and self.bits == other.bits)
-
     def __lt__(self, other: "BitVector") -> bool:
         return self.bits < other.bits
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -80,28 +82,20 @@ class Event:
 
     ``code`` is ``input.code * 2**len(output) + output.code``, the event's
     index in :attr:`Alphabet.events` when it is in the alphabet.
+    ``Event(input, output)`` is the shared event of the two vectors.
     """
 
-    __slots__ = ("input", "output", "code", "_hash")
+    __slots__ = ("input", "output", "code")
 
-    def __init__(self, input: BitVector, output: BitVector):
-        self.input = input
-        self.output = output
-        self.code = (input.code << len(output.bits)) | output.code
-        self._hash = hash((input.bits, output.bits))
+    def __new__(cls, input: BitVector, output: BitVector) -> "Event":
+        width = len(output.bits)
+        return _events(len(input.bits), width)[(input.code << width) | output.code]
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Event)
-            and self.input == other.input
-            and self.output == other.output
-        )
+    def __reduce__(self):
+        return (Event, (self.input, self.output))
 
     def __lt__(self, other: "Event") -> bool:
         return (self.input.bits, self.output.bits) < (other.input.bits, other.output.bits)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.input}/{self.output}"
@@ -149,10 +143,9 @@ class Alphabet:
     order; automata and synthesis index their transition tables by this
     layout.  The enumerations depend only on the interface's shape, its
     input and output counts: every alphabet of one shape is given the same
-    three tuples when it is made, and :meth:`input_vector` and
-    :meth:`output_vector` return their instances.  :meth:`event` reads
-    the event at a pair's code and returns it when it holds those vectors
-    or equal copies, so a vector of another width is in no event.
+    three tuples when it is made.  They hold the one instance of each
+    vector and event value, so :meth:`event` and :meth:`code` compare by
+    identity at a code, and a vector of another width is in no event.
     Equality and hash read ``inputs`` and ``outputs`` only, and a pickled
     or copied alphabet is rebuilt from them.
     """
@@ -170,14 +163,10 @@ class Alphabet:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-        width = len(self.inputs) + len(self.outputs)
-        if width > MAX_VARIABLES:
-            raise ValueError(
-                f"interface declares {width} variables; at most {MAX_VARIABLES} are supported"
-            )
+        # the events first: their width check covers inputs and outputs together
+        object.__setattr__(self, "events", _events(len(self.inputs), len(self.outputs)))
         object.__setattr__(self, "input_events", _valuations(len(self.inputs)))
         object.__setattr__(self, "output_events", _valuations(len(self.outputs)))
-        object.__setattr__(self, "events", _events(len(self.inputs), len(self.outputs)))
 
     @classmethod
     def null(cls) -> "Alphabet":
@@ -188,17 +177,15 @@ class Alphabet:
         return (Alphabet, (self.inputs, self.outputs))
 
     def event(self, input: BitVector, output: BitVector) -> Event:
-        """Interned event instance for a valid (input, output) pair.
+        """The event of an input and an output vector of this interface.
 
         The event at the pair's code is returned when it holds these
-        vectors or equal copies; any other pair raises ``ValueError``,
-        even one whose code is in range.
+        vectors; any other pair raises ``ValueError``, even one whose code
+        is in range.
         """
         try:
             event = self.events[(input.code << len(self.outputs)) | output.code]
-            if (event.input is input and event.output is output) or (
-                event.input == input and event.output == output
-            ):
+            if event.input is input and event.output is output:
                 return event
         except (AttributeError, IndexError, TypeError):
             pass
@@ -208,14 +195,11 @@ class Alphabet:
         )
 
     def code(self, event: Event) -> int:
-        """Index of ``event`` in :attr:`events`, for one of them or an equal
-        copy; any other event raises ``ValueError``, even one whose code is
-        in range."""
-        events = self.events
+        """Index of ``event`` in :attr:`events`; anything else raises
+        ``ValueError``, even an event of another shape at an in-range code."""
         try:
-            code = event.code
-            if events[code] is event or events[code] == event:
-                return code
+            if self.events[event.code] is event:
+                return event.code
         except (AttributeError, IndexError, TypeError):
             pass
         raise ValueError(f"event width mismatch: {event} not in the alphabet")
@@ -224,11 +208,11 @@ class Alphabet:
 
     def input_vector(self, text: str) -> BitVector:
         """The shared input valuation a bit string names."""
-        return _vector(text, len(self.inputs), self.input_events, "input")
+        return _vector(text, len(self.inputs), "input")
 
     def output_vector(self, text: str) -> BitVector:
         """The shared output valuation a bit string names."""
-        return _vector(text, len(self.outputs), self.output_events, "output")
+        return _vector(text, len(self.outputs), "output")
 
     def expand_input_pattern(self, pattern: str) -> tuple[BitVector, ...]:
         inputs = self.input_events
@@ -245,27 +229,51 @@ class Alphabet:
         return tuple(events[(x << shift) | y] for x in xs for y in ys)
 
 
-@lru_cache(maxsize=None)
+# The one table of instances: vectors by width, events by shape.  Threads that
+# build one entry at once all return the first stored (``setdefault`` is atomic).
+_VALUATIONS: dict[int, tuple[BitVector, ...]] = {}
+_EVENTS: dict[tuple[int, int], tuple[Event, ...]] = {}
+
+
 def _valuations(width: int) -> tuple[BitVector, ...]:
-    """Every ``width``-bit vector, in numeric order of its bit string; one
-    tuple per width, shared by every alphabet."""
-    return tuple(BitVector(bits) for bits in itertools.product((0, 1), repeat=width))
+    """Every ``width``-bit vector, in numeric order of its bit string: the
+    one instance of each, built here and nowhere else."""
+    if width not in _VALUATIONS:
+        _check_width(width)
+        bits = enumerate(itertools.product((0, 1), repeat=width))
+        _VALUATIONS.setdefault(width, tuple(_instance(BitVector, b, code) for code, b in bits))
+    return _VALUATIONS[width]
 
 
-@lru_cache(maxsize=None)
 def _events(n_in: int, n_out: int) -> tuple[Event, ...]:
-    """Every event over ``n_in`` inputs and ``n_out`` outputs, in code order;
-    one tuple per shape, shared by every alphabet."""
-    outputs = _valuations(n_out)
-    return tuple(Event(x, y) for x in _valuations(n_in) for y in outputs)
+    """Every event over ``n_in`` inputs and ``n_out`` outputs, in code order:
+    the one instance of each, built here and nowhere else."""
+    if (n_in, n_out) not in _EVENTS:
+        _check_width(n_in + n_out)
+        pairs = enumerate(itertools.product(_valuations(n_in), _valuations(n_out)))
+        _EVENTS.setdefault((n_in, n_out), tuple(_instance(Event, x, y, c) for c, (x, y) in pairs))
+    return _EVENTS[n_in, n_out]
 
 
-def _vector(text: str, width: int, valuations: tuple[BitVector, ...], side: str) -> BitVector:
+def _check_width(width: int) -> None:
+    if width > MAX_VARIABLES:
+        raise ValueError(
+            f"interface declares {width} variables; at most {MAX_VARIABLES} are supported"
+        )
+
+
+def _instance(cls, *values):
+    """A new instance with its slots set to ``values``, past ``cls.__new__``."""
+    instance = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(instance, name, value)
+    return instance
+
+
+def _vector(text: str, width: int, side: str) -> BitVector:
     if len(text) != width:
         raise ValueError(f"{side} pattern {text!r} has {len(text)} bits, expected {width}")
-    if any(c not in "01" for c in text):
-        raise ValueError(f"invalid bit string {text!r}")
-    return valuations[int(text or "0", 2)]
+    return BitVector.from_text(text)
 
 
 def _codes(pattern: str, width: int, side: str) -> list[int]:

@@ -208,8 +208,11 @@ def _resolve_enforceable(automaton: SafetyAutomaton, auto_transform: bool) -> Op
 
 
 def _read_trace_file(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return read_trace(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return read_trace(handle.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_widths(vectors, width: int, side: str, path: str) -> None:

@@ -1,10 +1,13 @@
 import copy
 import pickle
+import sys
+import threading
 
 import pytest
 
-from syncguard import Alphabet, BitVector, Event
+from syncguard import Alphabet, BitVector, Event, bits
 from syncguard.bits import MAX_VARIABLES
+from syncguard.runtime import TickRecord
 from syncguard.samples import mutual_exclusion
 
 
@@ -82,10 +85,10 @@ def test_event_interning():
     x = BitVector.from_text("1")
     y = BitVector.from_text("0")
     assert alpha.event(x, y) is alpha.event(x, y) is alpha.events[2]
-    # every alphabet shares the vectors of a width, and finds their event by code
+    # one instance per vector value, shared by every alphabet; events are found by code
     shared_x, shared_y = alpha.input_vector("1"), alpha.output_vector("0")
-    assert shared_x is Alphabet(("C",), ()).input_events[1] and shared_x is not x
-    assert shared_y is alpha.output_events[0] and (shared_x.code, shared_y.code) == (1, 0)
+    assert shared_x is Alphabet(("C",), ()).input_events[1] and shared_x is x
+    assert shared_y is alpha.output_events[0] is y and (x.code, y.code) == (1, 0)
     assert alpha.event(shared_x, shared_y) is alpha.events[2]
     assert alpha.events[2].code == 2 and alpha.code(Event.from_text("1/0")) == 2
     with pytest.raises(ValueError):
@@ -121,11 +124,13 @@ def test_alphabets_of_one_shape_share_their_events():
     assert a.output_events is b.output_events
 
 
-def test_event_of_equal_copies_is_the_shared_event():
+def test_constructed_vectors_are_the_shared_instances():
     alpha = Alphabet(("A", "B"), ("R",))
     for event in alpha.events:
         x, y = BitVector.from_text(str(event.input)), BitVector.from_text(str(event.output))
-        assert x is not event.input and y is not event.output
+        assert x is event.input and y is event.output
+        assert BitVector(x.bits) is x and Event(x, y) is event
+        assert Event.from_text(str(event)) is event
         assert alpha.event(x, y) is event
     shared_y = alpha.output_vector("1")
     for x, y in [
@@ -135,6 +140,70 @@ def test_event_of_equal_copies_is_the_shared_event():
     ]:
         with pytest.raises(ValueError, match="event width mismatch"):
             alpha.event(x, y)
+
+
+def test_bool_and_float_bits_are_the_shared_vector():
+    alpha = Alphabet(("A", "B"), ("R",))
+    ten, one = alpha.input_vector("10"), alpha.output_vector("1")
+    for values in [(True, False), (1.0, 0), (1, 0.0)]:
+        vector = BitVector(values)
+        assert vector is ten and vector.bits == (1, 0) and str(vector) == "10"
+        event = Event(vector, BitVector((True,)))
+        assert event is alpha.event(ten, one) and str(event) == "10/1"
+        assert Event.from_text(str(event)) is event
+
+
+def test_vectors_and_events_wider_than_any_interface_raise():
+    with pytest.raises(ValueError, match="declares 17 variables; at most 16"):
+        BitVector((0,) * (MAX_VARIABLES + 1))
+    with pytest.raises(ValueError, match="declares 17 variables; at most 16"):
+        BitVector.from_text("1" * (MAX_VARIABLES + 1))
+    with pytest.raises(ValueError, match="declares 17 variables; at most 16"):
+        Event(BitVector((1,) * 9), BitVector((0,) * 8))
+
+
+def test_threads_building_one_shape_share_its_instances(monkeypatch):
+    # empty tables, so the threads race to build widths 10, 6 and 4 and shape (6, 4)
+    monkeypatch.setattr(bits, "_VALUATIONS", {})
+    monkeypatch.setattr(bits, "_EVENTS", {})
+    count = 8
+    barrier = threading.Barrier(count)
+    built = []
+
+    def build():
+        barrier.wait(timeout=10)
+        built.append((BitVector((1,) * 10), Event.from_text("110011/0101")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build) for _ in range(count)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers) and len(built) == count
+    assert len({id(vector) for vector, _ in built}) == 1
+    assert len({id(event) for _, event in built}) == 1
+    assert built[0][1] is Alphabet(tuple("abcdef"), tuple("wxyz")).events[0b110011_0101]
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_the_alphabets_own_instances(clone):
+    alpha = Alphabet(("A", "B"), ("R",))
+    event = alpha.events[5]
+    assert clone(event.input) is event.input and clone(event.output) is event.output
+    assert clone(event) is event
+    record = TickRecord(3, alpha.events[7], event, True, False, "q1")
+    copied = clone(record)
+    assert copied == record
+    assert copied.observed is alpha.events[7] and copied.released is event
 
 
 @pytest.mark.parametrize(

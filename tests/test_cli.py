@@ -256,6 +256,19 @@ class TestSimulate:
         assert captured.out == ""
         assert "edit flag must be 0 or 1, got '7'" in captured.err
 
+    @pytest.mark.parametrize("role", ["program", "env"])
+    def test_trace_field_wider_than_any_interface_exits_two(self, s1_file, tmp_path, capsys, role):
+        path = tmp_path / "wide17.txt"
+        path.write_text(f"0\t{'0' * 17}/0\t00/0\t0\t0\tq0\n")
+        program = f"scripted:{path}" if role == "program" else "const:1"
+        env = f"trace:{path}" if role == "env" else "random"
+        capsys.readouterr()
+        argv = ["simulate", s1_file, program, "--env", env, "--ticks", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: interface declares 17 variables; at most 16" in captured.err
+
 
 class TestVerify:
     def test_all_constraints_pass(self, s1_file, capsys):
