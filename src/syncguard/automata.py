@@ -151,6 +151,11 @@ class SafetyAutomaton:
         fill(self, "violating", violating)
         fill(self, "table", table)
         fill(self, "index", index)
+        # later a weak reference to the safe sets of this automaton's live
+        # enforcers (see syncguard.runtime); filled here so every instance
+        # fills its attributes in one order (see ``delta``), and not a
+        # field, so equality, hashing, repr and pickling ignore it
+        fill(self, "_edit_sets", None)
 
     def __reduce__(self):
         # the read-only mappings do not pickle; the table rebuilds them
@@ -431,16 +436,21 @@ def project_inputs(automaton: SafetyAutomaton) -> InputAutomaton:
     """Erase outputs from transition labels, keeping the location set.
 
     Slices each location's row of :attr:`SafetyAutomaton.table` per input:
-    an input's successors are the targets of its contiguous slice.
+    an input's successors are the targets of its contiguous slice.  Equal
+    slices share one set of successors, built once.
     """
     alphabet = automaton.alphabet
     locations = automaton.locations
     width = len(alphabet.output_events)
+    shared: dict[tuple[int, ...], frozenset[str]] = {}
     relation: dict[tuple[str, BitVector], frozenset[str]] = {}
     for q, row in zip(locations, automaton.table):
         for k, x in enumerate(alphabet.input_events):
             targets = row[k * width : (k + 1) * width]
-            relation[(q, x)] = frozenset(map(locations.__getitem__, targets))
+            successors = shared.get(targets)
+            if successors is None:
+                successors = shared[targets] = frozenset(map(locations.__getitem__, targets))
+            relation[(q, x)] = successors
     return InputAutomaton(
         alphabet=alphabet,
         locations=locations,

@@ -11,6 +11,7 @@ automaton), and it never becomes the trap.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -19,6 +20,7 @@ from .automata import SafetyAutomaton, project_inputs
 from .bits import BitVector, Event, Word
 from .editing import (
     NEAREST,
+    EditSets,
     build_edit_tables,
     canonical_policy,
     choose_nearest,
@@ -53,10 +55,14 @@ class TickRecord:
 class Enforcer:
     """Stateful enforcer for one enforceable safety automaton.
 
-    Construction computes the safe-event sets (through the input
-    projection) and, for observed-independent policies, the repair table
-    (one pick per distinct safe set, keyed by the set); it fails with the
-    enforceability report if the automaton has dead locations.  ``tick``
+    Construction checks the policy name (ValueError before anything is
+    built), takes the safe-event sets (through the input projection) and,
+    for observed-independent policies, builds the repair table (one pick
+    per distinct safe set, keyed by the set); it fails with the
+    enforceability report if the automaton has dead locations.  The
+    enforcers of one automaton object that are alive at once share one
+    ``edit_sets``, built by the first of them, so it is read-only by
+    contract; only the table is each enforcer's own.  ``tick``
     applies one keep-or-repair rule to the observed input, against the
     safe inputs at the current location, and then to the program's
     output, against the safe outputs given the released input; the
@@ -71,13 +77,10 @@ class Enforcer:
         policy: str = NEAREST,
         seed: Optional[int] = None,
     ):
-        report = check_enforceability(automaton)
-        if not report.enforceable:
-            raise NotEnforceableError(str(report), report)
+        policy = canonical_policy(policy)
         self.automaton = automaton
-        input_automaton = project_inputs(automaton)
-        self.edit_sets = compute_edit_sets(automaton, input_automaton)
-        self.policy = canonical_policy(policy)
+        self.edit_sets = _shared_edit_sets(automaton)
+        self.policy = policy
         self.seed = seed
         self.tables = (
             None
@@ -172,6 +175,25 @@ class Enforcer:
     def run(self, env: Iterable[BitVector], program: TickFunction) -> list[TickRecord]:
         """Fold ``tick`` over an input sequence."""
         return [self.tick(x, program) for x in env]
+
+
+def _shared_edit_sets(automaton: SafetyAutomaton) -> EditSets:
+    """The safe sets of a live enforcer of this automaton object, or new ones.
+
+    New sets are built after the enforceability check, and the automaton
+    keeps a weak reference to them: they live as long as some enforcer
+    holds them, not as long as the automaton (a corpus or a cache holds
+    many automata and few enforcers).
+    """
+    ref = automaton._edit_sets
+    sets = None if ref is None else ref()
+    if sets is None:
+        report = check_enforceability(automaton)
+        if not report.enforceable:
+            raise NotEnforceableError(str(report), report)
+        sets = compute_edit_sets(automaton, project_inputs(automaton))
+        object.__setattr__(automaton, "_edit_sets", weakref.ref(sets))
+    return sets
 
 
 def _check_vector(vector, width: int, role: str) -> None:

@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import gc
 import pickle
+import random
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,8 +19,10 @@ from syncguard import (
     BitVector,
     Enforcer,
     Event,
+    NotEnforceableError,
     ScriptedProgram,
     TickRecord,
+    dead_end_branch,
     enforce_word,
     mutual_exclusion,
     normalize,
@@ -25,6 +31,7 @@ from syncguard import (
     project_inputs,
     random_inputs,
 )
+from syncguard import runtime
 from syncguard.editing import select
 
 from .strategies import mealy_programs, words
@@ -397,3 +404,119 @@ class TestEnforceWord:
         first = enforce_word(a, observed, SEEDED_RANDOM, seed=21)
         second = enforce_word(a, observed, SEEDED_RANDOM, seed=21)
         assert first == second
+
+
+# The policy-independent builders, called through the names ``runtime`` looks
+# up when an enforcer is constructed.
+BUILDERS = ("check_enforceability", "project_inputs", "compute_edit_sets")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of each builder, counted through the runtime's names."""
+    counts = dict.fromkeys(BUILDERS, 0)
+    for name in BUILDERS:
+
+        def counted(*args, _name=name, _build=getattr(runtime, name), **kwargs):
+            counts[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, name, counted)
+    return counts
+
+
+def fresh(a):
+    """An equal automaton that no other code holds, so no enforcer of it is alive."""
+    return copy.copy(a)
+
+
+def scripted_run(enforcer, word):
+    return enforcer.run([e.input for e in word], ScriptedProgram([e.output for e in word]))
+
+
+def random_word(a, length=60, seed=3):
+    rng = random.Random(seed)
+    return tuple(rng.choice(a.alphabet.events) for _ in range(length))
+
+
+class TestSharedEditSets:
+    """The live enforcers of one automaton object share its safe sets;
+    each builds its own repair table."""
+
+    def test_unknown_policy_rejected_before_any_set_is_built(self, builds):
+        with pytest.raises(ValueError, match="unknown repair policy"):
+            Enforcer(fresh(mutual_exclusion()), "bogus")
+        assert builds == dict.fromkeys(BUILDERS, 0)
+
+    def test_one_build_for_all_three_policies(self, builds):
+        a = fresh(mutual_exclusion())
+        enforcers = [Enforcer(a, policy, 7) for policy in POLICIES]
+        assert builds == dict.fromkeys(BUILDERS, 1)
+        first = enforcers[0].edit_sets
+        assert all(e.edit_sets is first for e in enforcers)
+        assert [e.tables is None for e in enforcers] == [True, False, False]
+        assert enforcers[1].tables is not enforcers[2].tables
+
+    def test_shared_runs_equal_runs_built_alone(self, random_family):
+        for a in (fresh(mutual_exclusion()), fresh(random_family[0])):
+            word = random_word(a)
+            shared = [Enforcer(a, policy, 7) for policy in POLICIES]
+            for policy, enforcer in zip(POLICIES, shared):
+                alone = Enforcer(fresh(a), policy, 7)
+                assert alone.edit_sets is not enforcer.edit_sets
+                assert alone.edit_sets == enforcer.edit_sets
+                assert scripted_run(enforcer, word) == scripted_run(alone, word), policy
+
+    def test_sets_die_with_the_last_enforcer_and_are_rebuilt(self, builds):
+        a = fresh(mutual_exclusion())
+        enforcers = [Enforcer(a, policy, 7) for policy in POLICIES]
+        probe = weakref.ref(enforcers[0].edit_sets)
+        del enforcers
+        gc.collect()
+        assert probe() is None  # nothing else kept the sets alive
+        assert a._edit_sets() is None
+        rebuilt = Enforcer(a, LEXICOGRAPHIC, 7)
+        assert builds == dict.fromkeys(BUILDERS, 2)
+        assert a._edit_sets() is rebuilt.edit_sets
+
+    def test_dead_automaton_rejected_on_every_attempt(self, builds):
+        a = fresh(dead_end_branch())
+        for policy in POLICIES * 2:
+            with pytest.raises(NotEnforceableError):
+                Enforcer(a, policy, 7)
+        assert builds == {"check_enforceability": 6, "project_inputs": 0, "compute_edit_sets": 0}
+        assert a._edit_sets is None
+
+    def test_threads_building_one_automaton_release_equal_runs(self):
+        a = fresh(mutual_exclusion())
+        word = random_word(a)
+        expected = {p: scripted_run(Enforcer(fresh(a), p, 7), word) for p in POLICIES}
+        start = threading.Barrier(4)
+        released = []
+
+        def build():
+            start.wait()
+            for _ in range(20):
+                for policy in POLICIES:
+                    released.append((policy, scripted_run(Enforcer(a, policy, 7), word)))
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(released) == 4 * 20 * len(POLICIES)
+        assert all(run == expected[policy] for policy, run in released)
+
+    def test_live_enforcer_leaves_the_automaton_unchanged(self):
+        a = fresh(mutual_exclusion())
+        before = (hash(a), repr(a), pickle.dumps(a))
+        enforcer = Enforcer(a, NEAREST)
+        assert a._edit_sets() is enforcer.edit_sets
+        after = (hash(a), repr(a), pickle.dumps(a))
+        assert a == mutual_exclusion()
+        assert after == before
+        assert b"weakref" not in after[2] and b"_edit_sets" not in after[2]
+        for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied == a and hash(copied) == hash(a)
+            assert copied._edit_sets is None
