@@ -32,7 +32,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
-from .bits import Alphabet, BitVector, Event
+from .bits import Alphabet, BitVector, Event, _codes
 
 VIOLATING_NAME = "qv"
 
@@ -52,9 +52,22 @@ class EmptyPropertyError(ValueError):
 class RawAutomaton:
     """Parsed but not yet normalized automaton.
 
-    ``transitions`` is a relation: it may be nondeterministic and
-    incomplete, and states may be unreachable.  The violating state is
-    already guaranteed to be a trap (parse-time check).
+    The relation may be nondeterministic and incomplete, and states may be
+    unreachable.  It is held as rows of successor masks, one row per state
+    in ``states`` order, indexed by event code in the layout of
+    :attr:`~syncguard.bits.Alphabet.events`: bit i of ``_rows[s][e]`` is
+    set iff ``states[i]`` is a successor of ``states[s]`` by event code e.
+    :func:`parse_automaton` writes the rows directly, and :func:`normalize`,
+    :meth:`successors` and :meth:`accepts` read them.  ``transitions`` is
+    the relation as ``(src, event, dst)`` triples, for a parsed automaton
+    a view built from the rows on first read.
+
+    The constructor takes the triples and builds the rows from them on
+    first need; a triple over an undeclared state or an event outside the
+    alphabet then raises ``ValueError``.  A parsed automaton's violating
+    state is already a trap (parse-time check).  Equality, hashing and
+    repr read the five fields, so a parsed automaton equals the one built
+    from its triples.
     """
 
     alphabet: Alphabet
@@ -63,24 +76,81 @@ class RawAutomaton:
     violating: str
     transitions: frozenset[tuple[str, Event, str]]
 
+    @classmethod
+    def _from_rows(
+        cls,
+        alphabet: Alphabet,
+        states: tuple[str, ...],
+        initial: str,
+        violating: str,
+        rows: tuple[tuple[int, ...], ...],
+    ) -> "RawAutomaton":
+        raw = cls.__new__(cls)
+        raw.__dict__.update(
+            alphabet=alphabet, states=states, initial=initial, violating=violating, _rows=rows
+        )
+        return raw
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: a parsed
+        # automaton's transitions before their first read
+        if name != "transitions":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        events, states = self.alphabet.events, self.states
+        transitions = self.__dict__["transitions"] = frozenset(
+            (src, events[code], dst)
+            for src, row in zip(states, self._rows)
+            for code, mask in enumerate(row)
+            for dst in _members(mask, states)
+        )
+        return transitions
+
     @cached_property
-    def _successors(self) -> dict[tuple[str, Event], frozenset[str]]:
-        index: dict[tuple[str, Event], set[str]] = {}
-        for src, event, dst in self.transitions:
-            index.setdefault((src, event), set()).add(dst)
-        return {key: frozenset(targets) for key, targets in index.items()}
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        alphabet = self.alphabet
+        position = {s: i for i, s in enumerate(self.states)}
+        rows = [[0] * len(alphabet.events) for _ in self.states]
+        try:
+            for src, event, dst in self.transitions:
+                rows[position[src]][alphabet.code(event)] |= 1 << position[dst]
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"transition {src} -> {dst} : {event} uses an undeclared state "
+                "or a label outside the alphabet"
+            ) from None
+        return tuple(map(tuple, rows))
 
     def successors(self, state: str, event: Event) -> frozenset[str]:
-        return self._successors.get((state, event), frozenset())
+        """States the relation reaches from ``state`` by ``event``; none for
+        an undeclared state or an event outside the alphabet."""
+        rows = self._rows
+        try:
+            mask = rows[self.states.index(state)][self.alphabet.code(event)]
+        except ValueError:
+            return frozenset()
+        return frozenset(_members(mask, self.states))
 
     def accepts(self, word: Sequence[Event]) -> bool:
         """Relation semantics: some run over the word ends non-violating."""
-        frontier = {self.initial}
+        rows, code = self._rows, self.alphabet.code
+        frontier = 1 << self.states.index(self.initial)
         for event in word:
-            frontier = {d for s in frontier for d in self.successors(s, event)}
+            try:
+                e = code(event)
+            except ValueError:
+                return False
+            step = 0
+            for row in _members(frontier, rows):
+                step |= row[e]
+            frontier = step
             if not frontier:
                 return False
-        return any(s != self.violating for s in frontier)
+        return frontier & ~(1 << self.states.index(self.violating)) != 0
+
+
+def _members(mask: int, items: Sequence) -> list:
+    """The items at the set bits of ``mask``, in order (bit i for ``items[i]``)."""
+    return [item for i, item in enumerate(items) if mask >> i & 1]
 
 
 @dataclass(frozen=True, init=False)
@@ -277,23 +347,32 @@ def parse_automaton(text: str) -> RawAutomaton:
     """Parse an automaton document; see the module docstring for the format.
 
     Nondeterminism and incompleteness are allowed here (``normalize``
-    resolves them), but the violating state must already be a trap.
+    resolves them), but the violating state must already be a trap.  Each
+    transition line ORs its target's bit into its source's row of
+    successor masks at the code of every event its two patterns match
+    (see :class:`RawAutomaton`); no event or triple is built.
     """
     headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     violating = _single_state(headers, "violating", states)
 
-    transitions: set[tuple[str, Event, str]] = set()
+    position = {s: i for i, s in enumerate(states)}
+    n_in, n_out = len(alphabet.inputs), len(alphabet.outputs)
+    rows = [[0] * len(alphabet.events) for _ in states]
     for lineno, src, dst, in_pat, out_pat in lines:
         try:
-            events = alphabet.expand_event_pattern(f"{in_pat}/{out_pat}")
+            xs = _codes(in_pat, n_in, "input")
+            ys = _codes(out_pat, n_out, "output")
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         if src == violating and dst != violating:
             raise ParseError(f"line {lineno}: violating state must be a trap")
-        for event in events:
-            transitions.add((src, event, dst))
+        row, bit = rows[position[src]], 1 << position[dst]
+        for x in xs:
+            x <<= n_out
+            for y in ys:
+                row[x | y] |= bit
 
-    return RawAutomaton(alphabet, states, initial, violating, frozenset(transitions))
+    return RawAutomaton._from_rows(alphabet, states, initial, violating, tuple(map(tuple, rows)))
 
 
 def _parse_document(
@@ -378,6 +457,10 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     violating state included, so {s} and {s, violating} are distinct
     macro-states), and each raw state's successors are a row of masks,
     one per event code; a macro-state's row is the OR of its members'.
+    A :class:`RawAutomaton`'s rows are read as they are (a hand-built
+    one's are built from its triples first, raising ``ValueError`` for a
+    triple over an undeclared state or an event outside the alphabet); a
+    :class:`SafetyAutomaton`'s table becomes rows of one-bit masks.
     """
     if automaton.initial == automaton.violating:
         raise EmptyPropertyError("empty property: the initial state is violating")
@@ -386,17 +469,7 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
         states = automaton.locations
         rows = [[1 << target for target in row] for row in automaton.table]
     else:
-        states = automaton.states
-        position = {s: i for i, s in enumerate(states)}
-        rows = [[0] * len(alphabet.events) for _ in states]
-        try:
-            for src, event, dst in automaton.transitions:
-                rows[position[src]][alphabet.code(event)] |= 1 << position[dst]
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"transition {src} -> {dst} : {event} uses an undeclared state "
-                "or a label outside the alphabet"
-            ) from None
+        states, rows = automaton.states, automaton._rows
     start = 1 << states.index(automaton.initial)
     violating = 1 << states.index(automaton.violating)
 
@@ -407,7 +480,7 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     order = [start]
     macro_rows = []
     for macro in order:  # grows while it is read: a breadth-first queue
-        members = [row for i, row in enumerate(rows) if macro >> i & 1]
+        members = _members(macro, rows)
         row = members[0]
         for other in members[1:]:
             row = list(map(or_, row, other))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 WILDCARD = "-"
@@ -276,8 +277,14 @@ def _vector(text: str, width: int, side: str) -> BitVector:
     return BitVector.from_text(text)
 
 
-def _codes(pattern: str, width: int, side: str) -> list[int]:
-    """Codes of the valuations a {0,1,-} pattern matches, ascending."""
+@lru_cache(maxsize=1024)
+def _codes(pattern: str, width: int, side: str) -> tuple[int, ...]:
+    """Codes of the valuations a {0,1,-} pattern matches, ascending.
+
+    Memoized per pattern, width and side: a document repeats its patterns
+    (at most 3**width distinct ones per side) on many lines.  A malformed
+    pattern raises ``ValueError`` on every call, as errors are not cached.
+    """
     if len(pattern) != width:
         raise ValueError(
             f"{side} pattern {pattern!r} has {len(pattern)} positions, expected {width}"
@@ -290,4 +297,4 @@ def _codes(pattern: str, width: int, side: str) -> list[int]:
             codes = [2 * k + int(c) for k in codes]
         else:
             raise ValueError(f"invalid pattern character {c!r} in {pattern!r}")
-    return codes
+    return tuple(codes)

@@ -173,6 +173,12 @@ def check_constraints(
 
     root_released = enforce(()) if enforce is not None else ()
     root_snap = runtime.snapshot() if runtime is not None else None
-    visit((), automaton.index[automaton.initial], root_released, root_snap, None)
+    try:
+        visit((), automaton.index[automaton.initial], root_released, root_snap, None)
+    finally:
+        # visit reaches itself through its closure cell; emptying the cell
+        # breaks that cycle, so the enforcer and its programs are freed on
+        # return instead of when the cyclic collector next runs
+        del visit
 
     return ConstraintReport(results, counterexamples, words)

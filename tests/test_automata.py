@@ -1,9 +1,13 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncguard import (
     Alphabet,
@@ -25,15 +29,17 @@ from syncguard import (
     project_inputs,
     render_automaton,
 )
+from syncguard.automata import _AUTOMATON_KEYS, _parse_document
 
-from .strategies import mutated_documents, raw_automata, safety_automata
+from .strategies import mutated_documents, raw_automata, safety_automata, words
 
 
 def ev(text):
     return Event.from_text(text)
 
 
-MUTEX_DOC = (Path(__file__).parent / "golden" / "mutex.aut").read_text(encoding="utf-8")
+GOLDEN = Path(__file__).parent / "golden"
+MUTEX_DOC = (GOLDEN / "mutex.aut").read_text(encoding="utf-8")
 
 S1_DOC = """
 # A and B never together; B and R never together
@@ -173,6 +179,116 @@ class TestParse:
             parse_automaton(text)
         except ValueError:  # ParseError and EmptyPropertyError are subclasses
             pass
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["q0 -> q9 : -/-"], "line 6: unknown state 'q9'"),
+            (["q0 -> q0 : --/-"], "line 6: input pattern '--' has 2 positions, expected 1"),
+            (["q0 -> q0 : 1/"], "line 6: output pattern '' has 0 positions, expected 1"),
+            (["q0 -> q0 : -/2"], "line 6: cannot parse transition 'q0 -> q0 : -/2'"),
+            (["q0 -> q0 : -/-", "qv -> q0 : 1/0"], "line 7: violating state must be a trap"),
+            (["# note", "", "q0 -> q0 : 1/-", "q0 -> q0 : 0-/1"],
+             "line 9: input pattern '0-' has 2 positions, expected 1"),
+            (["inputs: B"], "line 6: duplicate 'inputs:' declaration"),
+        ],
+    )
+    def test_parse_error_messages_and_line_numbers(self, extra, message):
+        # a pattern read a second time comes from the memo; the message is the same
+        lines = ["inputs: A", "outputs: B", "states: q0 qv", "initial: q0", "violating: qv"]
+        for _ in range(2):
+            with pytest.raises(ParseError) as caught:
+                parse_automaton("\n".join(lines + extra))
+            assert str(caught.value) == message
+
+
+def _line_by_line(text):
+    """A document's relation rebuilt one transition line at a time, each
+    label expanded to its events by ``Alphabet.expand_event_pattern``."""
+    headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
+    triples = frozenset(
+        (src, event, dst)
+        for _, src, dst, in_pat, out_pat in lines
+        for event in alphabet.expand_event_pattern(f"{in_pat}/{out_pat}")
+    )
+    return RawAutomaton(alphabet, states, initial, headers["violating"].strip(), triples)
+
+
+def _relation_accepts(raw, word):
+    """``accepts`` as the triple relation defines it, read off ``transitions``."""
+    frontier = {raw.initial}
+    for event in word:
+        frontier = {d for s, e, d in raw.transitions if s in frontier and e is event}
+    return any(s != raw.violating for s in frontier)
+
+
+ROW_DOCUMENTS = [S1_DOC, MUTEX_DOC] + [
+    path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.aut"))
+]
+
+
+class TestRows:
+    """A parsed automaton keeps successor-mask rows; its relation is a view."""
+
+    @pytest.mark.parametrize("text", ROW_DOCUMENTS)
+    def test_parsed_relation_is_the_line_by_line_relation(self, text):
+        raw, built = parse_automaton(text), _line_by_line(text)
+        assert raw.transitions == built.transitions
+        assert raw == built and built == raw and hash(raw) == hash(built)
+        assert normalize(raw) == normalize(built)
+
+    @pytest.mark.parametrize("text", ROW_DOCUMENTS)
+    def test_copies_and_pickles_round_trip(self, text):
+        built = _line_by_line(text)
+        for read_relation in (False, True):
+            raw = parse_automaton(text)
+            if read_relation:
+                raw.transitions
+            for clone in (copy.copy(raw), copy.deepcopy(raw), pickle.loads(pickle.dumps(raw))):
+                assert clone == raw == built
+                assert normalize(clone) == normalize(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_documents(MUTEX_DOC))
+    def test_mutated_documents_parse_to_the_line_by_line_relation(self, text):
+        try:
+            raw = parse_automaton(text)
+        except ValueError:
+            return
+        built = _line_by_line(text)
+        assert raw.transitions == built.transitions and raw == built
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_accepts_and_successors_follow_the_relation(self, data):
+        raw = data.draw(raw_automata())
+        for word in data.draw(st.lists(words(raw.alphabet), max_size=5)):
+            assert raw.accepts(word) == _relation_accepts(raw, word)
+        for src, event in itertools.product(raw.states, raw.alphabet.events):
+            expected = {d for s, e, d in raw.transitions if s == src and e is event}
+            assert raw.successors(src, event) == expected
+
+    def test_parsed_and_built_step_alike(self):
+        for text in ROW_DOCUMENTS:
+            raw, built = parse_automaton(text), _line_by_line(text)
+            for length in range(3):
+                for word in itertools.product(raw.alphabet.events, repeat=length):
+                    assert raw.accepts(word) == built.accepts(word)
+                    assert raw.accepts(word) == _relation_accepts(built, word)
+
+    def test_outside_the_declarations_there_are_no_successors(self, alpha_11):
+        raw = parse_automaton(MUTEX_DOC)
+        event = raw.alphabet.events[0]
+        assert raw.successors("nope", event) == frozenset()
+        assert raw.successors(raw.initial, alpha_11.events[0]) == frozenset()
+        assert not raw.accepts((alpha_11.events[0],))
+
+    def test_immutable(self):
+        raw = parse_automaton(MUTEX_DOC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            raw.states = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del raw.initial
 
 
 class TestNormalize:

@@ -80,6 +80,29 @@ def test_pattern_length_mismatch():
         alpha.expand_event_pattern("11/--")
 
 
+def test_pattern_codes_are_memoized_tuples():
+    codes = bits._codes("1-0", 3, "input")
+    assert codes == (4, 6) and type(codes) is tuple
+    assert bits._codes("1-0", 3, "input") is codes
+    assert bits._codes("", 0, "output") == (0,)
+    # bounded, as the memo lives for the whole process
+    assert bits._codes.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "pattern, width, message",
+    [
+        ("1-", 3, "input pattern '1-' has 2 positions, expected 3"),
+        ("1x", 2, "invalid pattern character 'x' in '1x'"),
+    ],
+)
+def test_malformed_pattern_raises_alike_on_every_call(pattern, width, message):
+    for _ in range(2):
+        with pytest.raises(ValueError) as caught:
+            bits._codes(pattern, width, "input")
+        assert str(caught.value) == message
+
+
 def test_event_interning():
     alpha = Alphabet(("A",), ("B",))
     x = BitVector.from_text("1")

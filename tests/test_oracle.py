@@ -1,5 +1,6 @@
 import ast
 import copy
+import gc
 import hashlib
 import itertools
 import sys
@@ -109,6 +110,17 @@ class TestCheckConstraints:
         for policy in POLICIES:
             report = check_constraints(mutual_exclusion(), policy, max_len=3, seed=7)
             assert report.passed, report
+
+    def test_enforcer_freed_on_return_without_the_cyclic_collector(self):
+        # a copy no other code holds, so no live enforcer elsewhere lends its sets
+        a = copy.copy(mutual_exclusion())
+        gc.disable()
+        try:
+            report = check_constraints(a, "lex", max_len=2)
+            assert report.passed
+            assert a._edit_sets is not None and a._edit_sets() is None
+        finally:
+            gc.enable()
 
     def test_trivial_property_releases_everything_unchanged(self, alpha_11):
         a = always_accepting(alpha_11)
