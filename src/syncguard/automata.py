@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, product
 from operator import or_
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .bits import Alphabet, BitVector, Event, _codes
 
@@ -48,91 +48,79 @@ class EmptyPropertyError(ValueError):
     """The property rejects the empty word, so no prefix-closed run exists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RawAutomaton:
     """Parsed but not yet normalized automaton.
 
     The relation may be nondeterministic and incomplete, and states may be
-    unreachable.  It is held as rows of successor masks, one row per state
-    in ``states`` order, indexed by event code in the layout of
-    :attr:`~syncguard.bits.Alphabet.events`: bit i of ``_rows[s][e]`` is
-    set iff ``states[i]`` is a successor of ``states[s]`` by event code e.
-    :func:`parse_automaton` writes the rows directly, and :func:`normalize`,
-    :meth:`successors` and :meth:`accepts` read them.  ``transitions`` is
-    the relation as ``(src, event, dst)`` triples, for a parsed automaton
-    a view built from the rows on first read.
+    unreachable, but the violating state is a trap: every transition from
+    it returns to it.  The relation is held as rows of successor masks,
+    one row per state in ``states`` order, indexed by event code in the
+    layout of :attr:`~syncguard.bits.Alphabet.events`: bit i of
+    ``rows[s][e]`` is set iff ``states[i]`` is a successor of
+    ``states[s]`` by event code e.  :func:`parse_automaton` writes the
+    rows directly, and :func:`normalize` and :meth:`accepts` read them.
 
-    The constructor takes the triples and builds the rows from them on
-    first need; a triple over an undeclared state or an event outside the
-    alphabet then raises ``ValueError``.  A parsed automaton's violating
-    state is already a trap (parse-time check).  Equality, hashing and
-    repr read the five fields, so a parsed automaton equals the one built
-    from its triples.
+    The constructor takes the relation as ``(src, event, dst)`` triples and
+    checks it before the rows are built: duplicate states, an undeclared
+    initial or violating state, a triple over an undeclared state or an
+    event outside the alphabet, and a violating state that is not a trap
+    raise ``ValueError``.  Equality, hashing, repr and pickling read the
+    five fields, so a parsed automaton equals the one built from its
+    triples.
     """
 
     alphabet: Alphabet
     states: tuple[str, ...]
     initial: str
     violating: str
-    transitions: frozenset[tuple[str, Event, str]]
+    rows: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def _from_rows(
-        cls,
+    def __init__(
+        self,
         alphabet: Alphabet,
-        states: tuple[str, ...],
+        states: Sequence[str],
         initial: str,
         violating: str,
-        rows: tuple[tuple[int, ...], ...],
-    ) -> "RawAutomaton":
+        transitions: Iterable[tuple[str, Event, str]],
+    ):
+        states = tuple(states)
+        position = {s: i for i, s in enumerate(states)}
+        if len(position) != len(states):
+            raise ValueError("duplicate state names")
+        if initial not in position or violating not in position:
+            raise ValueError("initial and violating states must be declared")
+        rows = [[0] * len(alphabet.events) for _ in states]
+        for src, event, dst in transitions:
+            try:
+                rows[position[src]][alphabet.code(event)] |= 1 << position[dst]
+            except (KeyError, ValueError):
+                raise ValueError(
+                    f"transition {src} -> {dst} : {event} uses an undeclared state "
+                    "or a label outside the alphabet"
+                ) from None
+            if src == violating and dst != violating:
+                raise ValueError("violating state must be a trap")
+        self._fill(alphabet, states, initial, violating, tuple(map(tuple, rows)))
+
+    @classmethod
+    def _trusted(cls, alphabet, states, initial, violating, rows) -> "RawAutomaton":
+        """Construct without validation, from rows :func:`parse_automaton` checked."""
         raw = cls.__new__(cls)
-        raw.__dict__.update(
-            alphabet=alphabet, states=states, initial=initial, violating=violating, _rows=rows
-        )
+        raw._fill(alphabet, states, initial, violating, rows)
         return raw
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: a parsed
-        # automaton's transitions before their first read
-        if name != "transitions":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        events, states = self.alphabet.events, self.states
-        transitions = self.__dict__["transitions"] = frozenset(
-            (src, events[code], dst)
-            for src, row in zip(states, self._rows)
-            for code, mask in enumerate(row)
-            for dst in _members(mask, states)
-        )
-        return transitions
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        alphabet = self.alphabet
-        position = {s: i for i, s in enumerate(self.states)}
-        rows = [[0] * len(alphabet.events) for _ in self.states]
-        try:
-            for src, event, dst in self.transitions:
-                rows[position[src]][alphabet.code(event)] |= 1 << position[dst]
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"transition {src} -> {dst} : {event} uses an undeclared state "
-                "or a label outside the alphabet"
-            ) from None
-        return tuple(map(tuple, rows))
-
-    def successors(self, state: str, event: Event) -> frozenset[str]:
-        """States the relation reaches from ``state`` by ``event``; none for
-        an undeclared state or an event outside the alphabet."""
-        rows = self._rows
-        try:
-            mask = rows[self.states.index(state)][self.alphabet.code(event)]
-        except ValueError:
-            return frozenset()
-        return frozenset(_members(mask, self.states))
+    def _fill(self, alphabet, states, initial, violating, rows) -> None:
+        fill = object.__setattr__
+        fill(self, "alphabet", alphabet)
+        fill(self, "states", states)
+        fill(self, "initial", initial)
+        fill(self, "violating", violating)
+        fill(self, "rows", rows)
 
     def accepts(self, word: Sequence[Event]) -> bool:
         """Relation semantics: some run over the word ends non-violating."""
-        rows, code = self._rows, self.alphabet.code
+        rows, code = self.rows, self.alphabet.code
         frontier = 1 << self.states.index(self.initial)
         for event in word:
             try:
@@ -247,8 +235,8 @@ class SafetyAutomaton:
         keys = _delta_keys(self.alphabet, self.locations)
         targets = map(self.locations.__getitem__, chain.from_iterable(self.table))
         delta = MappingProxyType(dict(zip(keys, targets)))
-        # not functools.cached_property: writing through the instance
-        # __dict__ turns off CPython's fast attribute reads for this
+        # set past the frozen __setattr__, not written through the instance
+        # __dict__: that turns off CPython's fast attribute reads for this
         # automaton (2-3x slower on 3.11), which the tick makes on every step
         object.__setattr__(self, "_delta", delta)
         return delta
@@ -350,7 +338,8 @@ def parse_automaton(text: str) -> RawAutomaton:
     resolves them), but the violating state must already be a trap.  Each
     transition line ORs its target's bit into its source's row of
     successor masks at the code of every event its two patterns match
-    (see :class:`RawAutomaton`); no event or triple is built.
+    (see :class:`RawAutomaton`); no event or triple is built, and the
+    rows, checked line by line here, are not checked again.
     """
     headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     violating = _single_state(headers, "violating", states)
@@ -372,7 +361,7 @@ def parse_automaton(text: str) -> RawAutomaton:
             for y in ys:
                 row[x | y] |= bit
 
-    return RawAutomaton._from_rows(alphabet, states, initial, violating, tuple(map(tuple, rows)))
+    return RawAutomaton._trusted(alphabet, states, initial, violating, tuple(map(tuple, rows)))
 
 
 def _parse_document(
@@ -457,10 +446,9 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
     violating state included, so {s} and {s, violating} are distinct
     macro-states), and each raw state's successors are a row of masks,
     one per event code; a macro-state's row is the OR of its members'.
-    A :class:`RawAutomaton`'s rows are read as they are (a hand-built
-    one's are built from its triples first, raising ``ValueError`` for a
-    triple over an undeclared state or an event outside the alphabet); a
-    :class:`SafetyAutomaton`'s table becomes rows of one-bit masks.
+    A :class:`RawAutomaton`'s rows are read as they are, checked when the
+    automaton was built; a :class:`SafetyAutomaton`'s table becomes rows
+    of one-bit masks.
     """
     if automaton.initial == automaton.violating:
         raise EmptyPropertyError("empty property: the initial state is violating")
@@ -469,7 +457,7 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
         states = automaton.locations
         rows = [[1 << target for target in row] for row in automaton.table]
     else:
-        states, rows = automaton.states, automaton._rows
+        states, rows = automaton.states, automaton.rows
     start = 1 << states.index(automaton.initial)
     violating = 1 << states.index(automaton.violating)
 

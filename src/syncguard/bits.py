@@ -57,11 +57,6 @@ class BitVector:
             raise ValueError(f"invalid bit string {text!r}")
         return cls(map(int, text))
 
-    def hamming(self, other: "BitVector") -> int:
-        if len(self.bits) != len(other.bits):
-            raise ValueError("width mismatch")
-        return sum(a != b for a, b in zip(self.bits, other.bits))
-
     def __len__(self) -> int:
         return len(self.bits)
 

@@ -36,7 +36,11 @@ class TickFunction(Protocol):
 
 
 class MealyProgram:
-    """Table-driven synchronous program: (state, input) -> (state, output)."""
+    """Table-driven synchronous program: (state, input) -> (state, output).
+
+    The table must be total over declared states and inputs, and each
+    entry's target declared and its output of the output width.
+    """
 
     def __init__(
         self,
@@ -55,6 +59,17 @@ class MealyProgram:
             for x in alphabet.input_events:
                 if (state, x) not in transitions:
                     raise ValueError(f"missing transition from {state!r} on input {x}")
+        width = len(alphabet.outputs)
+        for (state, x), (target, y) in transitions.items():
+            if target not in self.states:
+                raise ValueError(
+                    f"transition from {state!r} on input {x} targets undeclared state {target!r}"
+                )
+            if not isinstance(y, BitVector) or len(y.bits) != width:
+                raise ValueError(
+                    f"transition from {state!r} on input {x} outputs {y!r}, "
+                    f"not a {width}-bit vector"
+                )
         self.state = initial
 
     def __call__(self, inputs: BitVector) -> BitVector:

@@ -70,8 +70,10 @@ def mutated_documents(draw, text, max_edits=4):
 
 
 @st.composite
-def raw_automata(draw, alphabet=None, max_states=3):
-    """Possibly nondeterministic, incomplete automaton with a trap."""
+def raw_relations(draw, alphabet=None, max_states=3):
+    """``(alphabet, states, triples)``: a possibly nondeterministic,
+    incomplete relation from ``s0`` over ``s0 … s{n-1}`` and the trap
+    ``bad``, which may loop on itself by any event, as in a document."""
     if alphabet is None:
         alphabet = draw(alphabets())
     n = draw(st.integers(1, max_states))
@@ -81,9 +83,16 @@ def raw_automata(draw, alphabet=None, max_states=3):
         for src in states[:-1]
         for event in alphabet.events
         for dst in states
-    ]
+    ] + [("bad", event, "bad") for event in alphabet.events]
     chosen = draw(st.sets(st.sampled_from(triples), max_size=len(triples)))
-    return RawAutomaton(alphabet, states, "s0", "bad", frozenset(chosen))
+    return alphabet, states, frozenset(chosen)
+
+
+def raw_automata(alphabet=None, max_states=3):
+    """The automaton of a :func:`raw_relations` draw."""
+    return raw_relations(alphabet, max_states).map(
+        lambda relation: RawAutomaton(relation[0], relation[1], "s0", "bad", relation[2])
+    )
 
 
 @st.composite

@@ -31,7 +31,7 @@ from syncguard import (
 )
 from syncguard.automata import _AUTOMATON_KEYS, _parse_document
 
-from .strategies import mutated_documents, raw_automata, safety_automata, words
+from .strategies import mutated_documents, raw_automata, raw_relations, safety_automata, words
 
 
 def ev(text):
@@ -80,8 +80,8 @@ class TestParse:
             s -> s : 1-/-
             """
         )
-        labels = sorted(str(e) for (_, e, _) in raw.transitions)
-        assert labels == ["10/0", "10/1", "11/0", "11/1"]
+        expected = {("s", ev(label), "s") for label in ("10/0", "10/1", "11/0", "11/1")}
+        assert raw == RawAutomaton(raw.alphabet, ("s", "qv"), "s", "qv", expected)
 
     def test_violating_must_be_trap(self):
         with pytest.raises(ParseError, match="trap"):
@@ -108,7 +108,9 @@ class TestParse:
             q0 -> q1 : 1/1
             """
         )
-        assert len(raw.transitions) == 2
+        one = ev("1/1")
+        expected = {("q0", one, "q0"), ("q0", one, "q1")}
+        assert raw == RawAutomaton(raw.alphabet, ("q0", "q1", "qv"), "q0", "qv", expected)
 
     @pytest.mark.parametrize(
         "mutation, message",
@@ -152,9 +154,8 @@ class TestParse:
     def test_transition_outside_declarations_rejected(self, alpha_11):
         event = alpha_11.events[0]
         for triple in (("s0", event, "s9"), ("s0", Event.from_text("00/0"), "s0")):
-            raw = RawAutomaton(alpha_11, ("s0", "bad"), "s0", "bad", frozenset((triple,)))
             with pytest.raises(ValueError, match="undeclared state or a label outside"):
-                normalize(raw)
+                RawAutomaton(alpha_11, ("s0", "bad"), "s0", "bad", frozenset((triple,)))
 
     @pytest.mark.parametrize("header", ["initial: q0", "violating: qv"])
     def test_missing_declarations(self, header):
@@ -204,22 +205,24 @@ class TestParse:
 
 def _line_by_line(text):
     """A document's relation rebuilt one transition line at a time, each
-    label expanded to its events by ``Alphabet.expand_event_pattern``."""
+    label expanded to its events by ``Alphabet.expand_event_pattern``: the
+    automaton built by hand from those triples, and the triples."""
     headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     triples = frozenset(
         (src, event, dst)
         for _, src, dst, in_pat, out_pat in lines
         for event in alphabet.expand_event_pattern(f"{in_pat}/{out_pat}")
     )
-    return RawAutomaton(alphabet, states, initial, headers["violating"].strip(), triples)
+    violating = headers["violating"].strip()
+    return RawAutomaton(alphabet, states, initial, violating, triples), triples
 
 
-def _relation_accepts(raw, word):
-    """``accepts`` as the triple relation defines it, read off ``transitions``."""
-    frontier = {raw.initial}
+def _relation_accepts(triples, initial, violating, word):
+    """``accepts`` as a relation of ``(src, event, dst)`` triples defines it."""
+    frontier = {initial}
     for event in word:
-        frontier = {d for s, e, d in raw.transitions if s in frontier and e is event}
-    return any(s != raw.violating for s in frontier)
+        frontier = {d for s, e, d in triples if s in frontier and e is event}
+    return any(s != violating for s in frontier)
 
 
 ROW_DOCUMENTS = [S1_DOC, MUTEX_DOC] + [
@@ -228,24 +231,23 @@ ROW_DOCUMENTS = [S1_DOC, MUTEX_DOC] + [
 
 
 class TestRows:
-    """A parsed automaton keeps successor-mask rows; its relation is a view."""
+    """An automaton keeps one form, its successor-mask rows, whether parsed
+    or built by hand from triples; a hand-built relation is checked when
+    it is built."""
 
     @pytest.mark.parametrize("text", ROW_DOCUMENTS)
     def test_parsed_relation_is_the_line_by_line_relation(self, text):
-        raw, built = parse_automaton(text), _line_by_line(text)
-        assert raw.transitions == built.transitions
+        raw, (built, _) = parse_automaton(text), _line_by_line(text)
+        assert raw.rows == built.rows
         assert raw == built and built == raw and hash(raw) == hash(built)
         assert normalize(raw) == normalize(built)
 
     @pytest.mark.parametrize("text", ROW_DOCUMENTS)
     def test_copies_and_pickles_round_trip(self, text):
-        built = _line_by_line(text)
-        for read_relation in (False, True):
-            raw = parse_automaton(text)
-            if read_relation:
-                raw.transitions
+        built, _ = _line_by_line(text)
+        for raw in (parse_automaton(text), built):
             for clone in (copy.copy(raw), copy.deepcopy(raw), pickle.loads(pickle.dumps(raw))):
-                assert clone == raw == built
+                assert clone == raw == built and hash(clone) == hash(built)
                 assert normalize(clone) == normalize(raw)
 
     @settings(max_examples=200, deadline=None)
@@ -255,38 +257,81 @@ class TestRows:
             raw = parse_automaton(text)
         except ValueError:
             return
-        built = _line_by_line(text)
-        assert raw.transitions == built.transitions and raw == built
+        built, _ = _line_by_line(text)
+        assert raw == built and hash(raw) == hash(built)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_accepts_and_successors_follow_the_relation(self, data):
-        raw = data.draw(raw_automata())
-        for word in data.draw(st.lists(words(raw.alphabet), max_size=5)):
-            assert raw.accepts(word) == _relation_accepts(raw, word)
-        for src, event in itertools.product(raw.states, raw.alphabet.events):
-            expected = {d for s, e, d in raw.transitions if s == src and e is event}
-            assert raw.successors(src, event) == expected
+        alphabet, states, triples = data.draw(raw_relations())
+        raw = RawAutomaton(alphabet, states, "s0", "bad", triples)
+        for word in data.draw(st.lists(words(alphabet), max_size=5)):
+            assert raw.accepts(word) == _relation_accepts(triples, "s0", "bad", word)
+        for (i, src), event in itertools.product(enumerate(states), alphabet.events):
+            expected = {d for s, e, d in triples if s == src and e is event}
+            mask = raw.rows[i][event.code]
+            assert {dst for j, dst in enumerate(states) if mask >> j & 1} == expected
 
     def test_parsed_and_built_step_alike(self):
         for text in ROW_DOCUMENTS:
-            raw, built = parse_automaton(text), _line_by_line(text)
+            raw, (built, triples) = parse_automaton(text), _line_by_line(text)
             for length in range(3):
                 for word in itertools.product(raw.alphabet.events, repeat=length):
                     assert raw.accepts(word) == built.accepts(word)
-                    assert raw.accepts(word) == _relation_accepts(built, word)
+                    assert raw.accepts(word) == _relation_accepts(
+                        triples, raw.initial, raw.violating, word
+                    )
 
     def test_outside_the_declarations_there_are_no_successors(self, alpha_11):
         raw = parse_automaton(MUTEX_DOC)
-        event = raw.alphabet.events[0]
-        assert raw.successors("nope", event) == frozenset()
-        assert raw.successors(raw.initial, alpha_11.events[0]) == frozenset()
-        assert not raw.accepts((alpha_11.events[0],))
+        event, foreign = raw.alphabet.events[0], alpha_11.events[0]
+        assert not raw.accepts((foreign,))
+        assert raw.accepts((event,)) and not raw.accepts((event, foreign))
+        for triple in (("nope", event, raw.initial), (raw.initial, foreign, raw.initial)):
+            with pytest.raises(ValueError, match="undeclared state or a label outside"):
+                RawAutomaton(raw.alphabet, raw.states, raw.initial, raw.violating, {triple})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"states": ("s0", "s0", "bad")}, "duplicate state names"),
+            ({"initial": "s9"}, "initial and violating states must be declared"),
+            ({"violating": "s9"}, "initial and violating states must be declared"),
+            ({"transitions": {("s9", "0/0", "s0")}}, "transition s9 -> s0 : 0/0 uses"),
+            ({"transitions": {("s0", "0/0", "s9")}}, "transition s0 -> s9 : 0/0 uses"),
+            ({"transitions": {("s0", "00/0", "s0")}}, "transition s0 -> s0 : 00/0 uses"),
+            # code (0 << 2) | 3 == 3, the code of 1/1 over one input and one output
+            ({"transitions": {("s0", "0/11", "s0")}}, "transition s0 -> s0 : 0/11 uses"),
+            # s0 -0/0-> bad -0/0-> s0: were it accepted, the relation would
+            # accept 0/0 0/0 and its normalized automaton would not
+            (
+                {"transitions": {("s0", "0/0", "bad"), ("bad", "0/0", "s0")}},
+                "violating state must be a trap",
+            ),
+        ],
+        ids=[
+            "duplicate", "initial-undeclared", "violating-undeclared", "undeclared-source",
+            "undeclared-target", "foreign-label", "foreign-label-code-in-range", "trap-leaves",
+        ],
+    )
+    def test_malformed_relations_are_rejected_when_built(self, alpha_11, change, message):
+        arguments = {
+            "states": ("s0", "bad"),
+            "initial": "s0",
+            "violating": "bad",
+            "transitions": {("s0", "0/0", "s0"), ("bad", "0/0", "bad")},
+        }
+        arguments.update(change)
+        arguments["transitions"] = {(s, ev(e), d) for s, e, d in arguments["transitions"]}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RawAutomaton(alpha_11, **arguments)
 
     def test_immutable(self):
         raw = parse_automaton(MUTEX_DOC)
         with pytest.raises(dataclasses.FrozenInstanceError):
             raw.states = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            raw.rows = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             del raw.initial
 

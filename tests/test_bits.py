@@ -30,15 +30,6 @@ def test_bitvector_ordering_is_numeric():
     assert [str(v) for v in sorted(vectors)] == ["00", "01", "10", "11"]
 
 
-def test_bitvector_hamming():
-    a = BitVector.from_text("1100")
-    b = BitVector.from_text("1010")
-    assert a.hamming(b) == 2
-    assert a.hamming(a) == 0
-    with pytest.raises(ValueError):
-        a.hamming(BitVector.from_text("1"))
-
-
 def test_event_text_round_trip():
     e = Event.from_text("10/1")
     assert str(e) == "10/1"

@@ -5,6 +5,7 @@ from syncguard import (
     Alphabet,
     BitVector,
     ConstantProgram,
+    MealyProgram,
     ParseError,
     ScriptedProgram,
     SyntheticProgram,
@@ -104,6 +105,25 @@ class TestMealyParsing:
             parse_program(text)
         except ValueError:  # ParseError is a subclass
             pass
+
+
+class TestMealyConstruction:
+    """A hand-built program is checked as a parsed one is."""
+
+    @pytest.mark.parametrize(
+        "target, output, message",
+        [
+            ("zz", bv("0"), "transition from 'm0' on input 0 targets undeclared state 'zz'"),
+            ("m0", bv("00"), r"transition from 'm0' on input 0 outputs BitVector\('00'\), not a"),
+            ("m0", "0", "transition from 'm0' on input 0 outputs '0', not a 1-bit vector"),
+        ],
+        ids=["undeclared-target", "wrong-width-output", "not-a-vector"],
+    )
+    def test_bad_transitions_are_rejected_when_built(self, alpha_11, target, output, message):
+        x0, x1 = alpha_11.input_events
+        transitions = {("m0", x0): (target, output), ("m0", x1): ("m0", bv("1"))}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            MealyProgram(alpha_11, ("m0",), "m0", transitions)
 
 
 class TestAbo:
