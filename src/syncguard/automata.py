@@ -251,11 +251,23 @@ class SafetyAutomaton:
 
     def walk(self, word: Sequence[Event]) -> int:
         """Number of the location reached from the initial location over the
-        word; ``ValueError`` for an event not in the alphabet."""
-        table, code = self.table, self.alphabet.code
+        word; ``ValueError`` for an event not in the alphabet.
+
+        An event is in the alphabet iff it is the instance at its code, as
+        :meth:`~syncguard.bits.Alphabet.code` checks.  The check is made
+        here inline, as the oracle walks every released word; anything
+        else takes the step through that method, which raises its error.
+        """
+        table, events = self.table, self.alphabet.events
         q = self.index[self.initial]
         for event in word:
-            q = table[q][code(event)]
+            try:
+                if events[event.code] is event:
+                    q = table[q][event.code]
+                    continue
+            except (AttributeError, IndexError, TypeError):
+                pass
+            q = table[q][self.alphabet.code(event)]
         return q
 
     def run(self, word: Sequence[Event]) -> str:

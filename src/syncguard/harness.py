@@ -85,7 +85,8 @@ def check_constraints(
     extend its parent's by one event (only a custom ``enforce`` makes one)
     is walked again from the initial location.  Nothing is read from the
     runtime but the released words.  The runtime ticks each child word
-    from its parent's snapshot; its program is one
+    from its parent's snapshot, released inline in the walk through the
+    enforcer's bound ``restore``, ``tick`` and ``snapshot``; its program is one
     :class:`ConstantProgram` per event, built once per call, which answers
     with the word's last observed output because the runtime calls the
     program exactly once per tick.  Monotonicity is checked against the
@@ -110,7 +111,12 @@ def check_constraints(
         if total > WORD_BUDGET:
             raise ValueError(f"enumeration budget exceeded: more than {WORD_BUDGET} words")
 
-    runtime = Enforcer(automaton, policy, seed) if enforce is None else None
+    if enforce is None:
+        runtime = Enforcer(automaton, policy, seed)
+        restore, tick, snapshot = runtime.restore, runtime.tick, runtime.snapshot
+        root_released, root_snap = (), snapshot()
+    else:
+        root_released, root_snap = enforce(()), None
     children = [(e, ConstantProgram(alphabet, e.output)) for e in alphabet.events]
     table, code = automaton.table, alphabet.code
     trap = automaton.index[automaton.violating]
@@ -123,17 +129,6 @@ def check_constraints(
         if results[name]:
             results[name] = False
             counterexamples[name] = observed
-
-    def release_child(
-        observed: Word, parent_released: Word, snap, program: ConstantProgram
-    ) -> tuple[Word, object]:
-        """Released word for observed, plus an opaque continuation token;
-        ``program`` answers with observed's last output."""
-        if enforce is not None:
-            return enforce(observed), None
-        runtime.restore(snap)
-        record = runtime.tick(observed[-1].input, program)
-        return parent_released + (record.released,), runtime.snapshot()
 
     def visit(observed: Word, observed_at: int, released: Word, snap, parent) -> None:
         """Locations are numbers (``automaton.index``); ``parent`` is the
@@ -166,13 +161,17 @@ def check_constraints(
                 fail("causality", observed)
         if len(observed) < max_len:
             here = (released, released_at, {})
-            for event, program in children:
-                child = observed + (event,)
-                child_released, child_snap = release_child(child, released, snap, program)
-                visit(child, table[observed_at][event.code], child_released, child_snap, here)
+            row = table[observed_at]
+            if enforce is None:
+                for event, program in children:
+                    restore(snap)
+                    child_released = released + (tick(event.input, program).released,)
+                    visit(observed + (event,), row[event.code], child_released, snapshot(), here)
+            else:
+                for event, _ in children:
+                    child = observed + (event,)
+                    visit(child, row[event.code], enforce(child), None, here)
 
-    root_released = enforce(()) if enforce is not None else ()
-    root_snap = runtime.snapshot() if runtime is not None else None
     try:
         visit((), automaton.index[automaton.initial], root_released, root_snap, None)
     finally:

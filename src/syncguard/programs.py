@@ -39,7 +39,11 @@ class MealyProgram:
     """Table-driven synchronous program: (state, input) -> (state, output).
 
     The table must be total over declared states and inputs, and each
-    entry's target declared and its output of the output width.
+    entry's target declared and its output of the output width.  It is
+    copied, entry by entry over the declared states and
+    ``alphabet.input_events``, so a key over an undeclared state or an
+    input that is not a vector of the input width raises ``ValueError``,
+    and later writes to the caller's dict do not reach the program.
     """
 
     def __init__(
@@ -52,24 +56,33 @@ class MealyProgram:
         self.alphabet = alphabet
         self.states = tuple(states)
         self.initial = initial
-        self.transitions = transitions
         if initial not in self.states:
             raise ValueError(f"initial state {initial!r} not declared")
+        width = len(alphabet.outputs)
+        table: dict[tuple[str, BitVector], tuple[str, BitVector]] = {}
         for state in self.states:
             for x in alphabet.input_events:
-                if (state, x) not in transitions:
-                    raise ValueError(f"missing transition from {state!r} on input {x}")
-        width = len(alphabet.outputs)
-        for (state, x), (target, y) in transitions.items():
-            if target not in self.states:
-                raise ValueError(
-                    f"transition from {state!r} on input {x} targets undeclared state {target!r}"
-                )
-            if not isinstance(y, BitVector) or len(y.bits) != width:
-                raise ValueError(
-                    f"transition from {state!r} on input {x} outputs {y!r}, "
-                    f"not a {width}-bit vector"
-                )
+                try:
+                    target, y = transitions[(state, x)]
+                except KeyError:
+                    raise ValueError(f"missing transition from {state!r} on input {x}") from None
+                if target not in self.states:
+                    raise ValueError(
+                        f"transition from {state!r} on input {x} targets undeclared state {target!r}"
+                    )
+                if not isinstance(y, BitVector) or len(y.bits) != width:
+                    raise ValueError(
+                        f"transition from {state!r} on input {x} outputs {y!r}, "
+                        f"not a {width}-bit vector"
+                    )
+                table[(state, x)] = (target, y)
+        if len(table) != len(transitions):
+            key = next(key for key in transitions if key not in table)
+            raise ValueError(
+                f"transition key {key!r} is not a declared state and a "
+                f"{len(alphabet.inputs)}-bit input"
+            )
+        self.transitions = table
         self.state = initial
 
     def __call__(self, inputs: BitVector) -> BitVector:
@@ -103,6 +116,8 @@ def parse_program(text: str) -> MealyProgram:
 class ConstantProgram:
     """Emits the same output vector every tick."""
 
+    __slots__ = ("alphabet", "outputs")
+
     def __init__(self, alphabet: Alphabet, outputs: BitVector):
         if len(outputs) != len(alphabet.outputs):
             raise ValueError("output width mismatch")
@@ -127,6 +142,8 @@ class ScriptedProgram:
     as the word, and the CLI rejects a script shorter than the run before
     the first tick.
     """
+
+    __slots__ = ("script", "position")
 
     def __init__(self, outputs: Sequence[BitVector]):
         self.script = tuple(outputs)

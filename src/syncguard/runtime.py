@@ -37,6 +37,10 @@ class TickRecord:
     By hand, as ``slots=True`` makes a non-field assignment raise
     ``TypeError`` on CPython 3.10/3.11; ``__reduce__`` rebuilds copies
     through ``__init__``, as the default would assign to the frozen slots.
+    ``__init__`` is written by hand too, so the dataclass keeps it: it
+    stores each field through its slot descriptor's ``__set__``, at under
+    half the cost of the generated one's ``object.__setattr__`` per field,
+    and a run builds one record per tick.
     """
 
     __slots__ = ("t", "observed", "released", "input_edited", "output_edited", "state_after")
@@ -48,8 +52,21 @@ class TickRecord:
     output_edited: bool
     state_after: str
 
+    def __init__(self, t, observed, released, input_edited, output_edited, state_after):
+        _set_t(self, t)
+        _set_observed(self, observed)
+        _set_released(self, released)
+        _set_input_edited(self, input_edited)
+        _set_output_edited(self, output_edited)
+        _set_state_after(self, state_after)
+
     def __reduce__(self):
         return (TickRecord, tuple(getattr(self, name) for name in self.__slots__))
+
+
+_set_t, _set_observed, _set_released, _set_input_edited, _set_output_edited, _set_state_after = (
+    getattr(TickRecord, name).__set__ for name in TickRecord.__slots__
+)
 
 
 class Enforcer:
@@ -104,13 +121,13 @@ class Enforcer:
 
         Anything but a pair of an accepting location of this automaton
         and a non-negative int raises ValueError, leaving the state
-        unchanged.
+        unchanged.  The location check is one lookup: the keys of
+        ``edit_sets.safe_inputs`` are exactly the accepting locations.
         """
         if isinstance(snapshot, tuple) and len(snapshot) == 2:
             location, ticks = snapshot
-            automaton = self.automaton
             try:
-                accepting = location in automaton.index and location != automaton.violating
+                accepting = location in self.edit_sets.safe_inputs
             except TypeError:  # unhashable, so no location
                 accepting = False
             if accepting and isinstance(ticks, int) and not isinstance(ticks, bool) and ticks >= 0:
@@ -141,12 +158,12 @@ class Enforcer:
         alphabet = self.automaton.alphabet
         released = alphabet.event(fixed_input, fixed_output)
         record = TickRecord(
-            t=self.ticks,
-            observed=alphabet.event(inputs, outputs),
-            released=released,
-            input_edited=input_edited,
-            output_edited=output_edited,
-            state_after=self.automaton.step(q, released),
+            self.ticks,
+            alphabet.event(inputs, outputs),
+            released,
+            input_edited,
+            output_edited,
+            self.automaton.step(q, released),
         )
         self.location = record.state_after
         self.ticks += 1

@@ -575,6 +575,25 @@ class TestMembership:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(mutual_exclusion())
 
+    @pytest.mark.parametrize(
+        "event, shown",
+        [
+            # 1/11 has code 7, in range over two inputs and one output
+            (ev("1/11"), "1/11"),
+            (ev("11/11"), "11/11"),
+            (ev("11/1").input, "11"),
+            ("10/0", "10/0"),
+            (None, "None"),
+        ],
+        ids=["foreign-shape-code-in-range", "code-out-of-range", "a-vector", "a-string", "none"],
+    )
+    @pytest.mark.parametrize("prefix", [0, 2], ids=["first", "third"])
+    def test_walk_rejects_an_event_outside_the_alphabet(self, event, shown, prefix):
+        a = mutual_exclusion()
+        word = a.alphabet.events[:prefix] + (event,) + a.alphabet.events[:1]
+        with pytest.raises(ValueError, match=f"^event width mismatch: {shown} not in the alphabet$"):
+            a.walk(word)
+
     @settings(max_examples=60, deadline=None)
     @given(a=safety_automata())
     def test_prefix_closure(self, a):

@@ -125,6 +125,30 @@ class TestMealyConstruction:
         with pytest.raises(ValueError, match=f"^{message}"):
             MealyProgram(alpha_11, ("m0",), "m0", transitions)
 
+    @pytest.mark.parametrize(
+        "key, shown",
+        [
+            (lambda x0: ("ghost", x0), r"\('ghost', BitVector\('0'\)\)"),
+            (lambda x0: ("m0", bv("11")), r"\('m0', BitVector\('11'\)\)"),
+        ],
+        ids=["undeclared-state", "wrong-width-input"],
+    )
+    def test_keys_outside_the_declarations_are_rejected_when_built(self, alpha_11, key, shown):
+        x0, x1 = alpha_11.input_events
+        transitions = {("m0", x0): ("m0", bv("0")), ("m0", x1): ("m0", bv("1"))}
+        transitions[key(x0)] = ("m0", bv("1"))
+        with pytest.raises(ValueError, match=f"^transition key {shown} is not a declared state"):
+            MealyProgram(alpha_11, ("m0",), "m0", transitions)
+
+    def test_the_table_is_copied_when_built(self, alpha_11):
+        x0, x1 = alpha_11.input_events
+        transitions = {("m0", x0): ("m0", bv("0")), ("m0", x1): ("m0", bv("1"))}
+        program = MealyProgram(alpha_11, ("m0",), "m0", transitions)
+        transitions[("m0", x0)] = ("zz", bv("1"))
+        transitions[("ghost", x0)] = ("m0", bv("1"))
+        assert [program(x) for x in (x0, x0, x1, x0)] == [bv("0"), bv("0"), bv("1"), bv("0")]
+        assert program.transitions == {("m0", x0): ("m0", bv("0")), ("m0", x1): ("m0", bv("1"))}
+
 
 class TestAbo:
     def test_emits_once_when_both_seen(self):

@@ -5,6 +5,7 @@ import pickle
 import random
 import threading
 import weakref
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,13 @@ from syncguard import (
     POLICIES,
     SEEDED_RANDOM,
     BitVector,
+    ConstantProgram,
     Enforcer,
     Event,
     NotEnforceableError,
     ScriptedProgram,
+    SimConfig,
+    SyntheticProgram,
     TickRecord,
     dead_end_branch,
     enforce_word,
@@ -30,9 +34,11 @@ from syncguard import (
     parse_program,
     project_inputs,
     random_inputs,
+    simulate,
 )
 from syncguard import runtime
 from syncguard.editing import select
+from syncguard.trace import format_record
 
 from .strategies import mealy_programs, words
 
@@ -130,6 +136,74 @@ class TestTickRecord:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestFastRecord:
+    """``TickRecord``'s hand-written ``__init__`` stores each field through
+    its slot descriptor; over the golden ``simulate`` runs each record
+    ``tick`` returns behaves exactly as the record the generated frozen
+    ``__init__`` would build, which stores each field through
+    ``object.__setattr__``."""
+
+    @staticmethod
+    def _generated(fields):
+        record = object.__new__(TickRecord)
+        for name, value in fields.items():
+            object.__setattr__(record, name, value)
+        return record
+
+    @staticmethod
+    def _golden_runs():
+        """(records, golden trace lines) of every golden simulate run."""
+        for name in ("mutex", "random19"):
+            a = normalize(parse_automaton((GOLDEN / f"{name}.aut").read_text()))
+            for policy, short in zip(POLICIES, ("nearest", "lex", "random")):
+                if name == "mutex":
+                    program = ConstantProgram(a.alphabet, a.alphabet.output_vector("1"))
+                else:
+                    program = SyntheticProgram(a.alphabet, 8, 1)
+                records = simulate(a, program, SimConfig(ticks=200, seed=3, policy=policy))
+                trace = (GOLDEN / f"simulate-{name}-{short}.trace").read_text()
+                yield records, [line for line in trace.splitlines() if not line.startswith("#")]
+
+    def test_records_behave_as_built_by_init(self):
+        runs = 0
+        for records, lines in self._golden_runs():
+            runs += 1
+            assert [format_record(r) for r in records] == lines
+            for record in records:
+                fields = {name: getattr(record, name) for name in TickRecord.__slots__}
+                built = self._generated(fields)
+                assert type(record) is TickRecord and not hasattr(record, "__dict__")
+                assert TickRecord(**fields) == built and TickRecord(*fields.values()) == built
+                assert record == built and built == record and not record != built
+                assert hash(record) == hash(built) and repr(record) == repr(built)
+                assert record.__reduce__() == built.__reduce__()
+                assert dataclasses.astuple(record) == dataclasses.astuple(built)
+                for clone in (
+                    copy.copy(record),
+                    copy.deepcopy(record),
+                    pickle.loads(pickle.dumps(record)),
+                ):
+                    assert type(clone) is TickRecord and clone == built
+                    assert repr(clone) == repr(built) and hash(clone) == hash(built)
+                flipped = not record.input_edited
+                assert dataclasses.replace(record, input_edited=flipped) == dataclasses.replace(
+                    built, input_edited=flipped
+                )
+                assert dataclasses.replace(record) == built
+        assert runs == 6
+
+    def test_every_slot_is_frozen(self):
+        records, _ = next(self._golden_runs())
+        for record in records[:20]:
+            before = repr(record)
+            for name in TickRecord.__slots__:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, getattr(record, name))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+            assert repr(record) == before
 
 
 class TestDecision:
@@ -349,6 +423,34 @@ class TestStateTracking:
         enforcer.tick(bv("10"), program)
         before = enforcer.snapshot()
         with pytest.raises(ValueError, match="not a snapshot"):
+            enforcer.restore(snapshot)
+        assert enforcer.snapshot() == before
+        assert enforcer.tick(bv("11"), program).t == before[1]
+
+    def test_restore_accepts_a_namedtuple_and_an_int_subclass(self):
+        class Ticks(int):
+            pass
+
+        Snapshot = namedtuple("Snapshot", "location ticks")
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        program = parse_program(CONSTANT_ONE)
+        enforcer.restore(Snapshot("q0", 3))
+        assert enforcer.snapshot() == ("q0", 3)
+        enforcer.restore(("q0", Ticks(5)))
+        assert enforcer.snapshot() == ("q0", 5)
+        assert enforcer.tick(bv("10"), program).t == 5
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [None, ("q0", 0, 0), ("q0", 1.0), ("q0", None), ("q1", 0)],
+        ids=["none", "triple", "float-ticks", "none-ticks", "location-this-automaton-lacks"],
+    )
+    def test_restore_rejects_more_bad_snapshots(self, snapshot):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        program = parse_program(CONSTANT_ONE)
+        enforcer.tick(bv("10"), program)
+        before = enforcer.snapshot()
+        with pytest.raises(ValueError, match=r"^not a snapshot of this enforcer: "):
             enforcer.restore(snapshot)
         assert enforcer.snapshot() == before
         assert enforcer.tick(bv("11"), program).t == before[1]
