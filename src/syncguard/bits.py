@@ -90,9 +90,6 @@ class Event:
     def __reduce__(self):
         return (Event, (self.input, self.output))
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.input.bits, self.output.bits) < (other.input.bits, other.output.bits)
-
     def __str__(self) -> str:
         return f"{self.input}/{self.output}"
 

@@ -309,10 +309,8 @@ def _cmd_verify(args) -> int:
     if args.out:
         name = next(iter(result.counterexamples))
         observed = result.counterexamples[name]
-        enforcer = Enforcer(automaton, policy, args.seed)
-        records = [
-            enforcer.tick(e.input, ScriptedProgram([e.output])) for e in observed
-        ]
+        script = ScriptedProgram([e.output for e in observed])
+        records = Enforcer(automaton, policy, args.seed).run((e.input for e in observed), script)
         with open(args.out, "w", encoding="utf-8") as handle:
             write_trace(handle, records, [f"counterexample for {name}"])
         print(f"counterexample trace written to {args.out}")

@@ -30,6 +30,7 @@ CONSTRAINTS = (
     "weak_transparency",
 )
 WORD_BUDGET = 10**6  # most observed words one check_constraints call enumerates
+MAX_DEPTH = 1000  # longest observed word it walks: each word copies its prefix
 
 
 @dataclass
@@ -75,18 +76,20 @@ def check_constraints(
     * weak transparency: an observed word that is itself accepted is
       released unchanged.
 
-    The walk carries, per word, the automaton location of the observed
-    word and of the released word, as numbers, each one lookup in
+    The walk is one loop over a stack of pending words.  A word's
+    children are pushed in reverse event order, each released only when
+    popped, so words are checked, and the enforcer called, in the order
+    above.  Each word carries the locations of the observed and of the
+    released word, as numbers, each one lookup in
     :attr:`~syncguard.automata.SafetyAutomaton.table` from its parent's
     (the released event's code is checked against the alphabet first), so
     every constraint is a lookup; a parent also records, per observed
     input, the released input its first extending child got, against
     which the later siblings are compared.  A released word that does not
     extend its parent's by one event (only a custom ``enforce`` makes one)
-    is walked again from the initial location.  Nothing is read from the
-    runtime but the released words.  The runtime ticks each child word
-    from its parent's snapshot, released inline in the walk through the
-    enforcer's bound ``restore``, ``tick`` and ``snapshot``; its program is one
+    is walked again from the initial location.  The runtime releases a
+    child by ``restore`` of its parent's snapshot, one ``tick`` and a
+    ``snapshot``; nothing else is read from it.  Its program is one
     :class:`ConstantProgram` per event, built once per call, which answers
     with the word's last observed output because the runtime calls the
     program exactly once per tick.  Monotonicity is checked against the
@@ -97,8 +100,9 @@ def check_constraints(
     the runtime enforcer with the given policy); counterexamples are
     observed words.  Raises ``ValueError`` for a negative ``max_len``, when
     the enumeration would exceed :data:`WORD_BUDGET` words (counted level
-    by level, stopping once past it), or when a released event is not in
-    the alphabet.
+    by level, stopping once past it), for a ``max_len`` above
+    :data:`MAX_DEPTH` (the walk's cost grows with the square of the
+    depth), or when a released event is not in the alphabet.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -110,35 +114,48 @@ def check_constraints(
         total += level
         if total > WORD_BUDGET:
             raise ValueError(f"enumeration budget exceeded: more than {WORD_BUDGET} words")
+    if max_len > MAX_DEPTH:
+        raise ValueError(f"max_len must be at most {MAX_DEPTH}, got {max_len}")
 
     if enforce is None:
         runtime = Enforcer(automaton, policy, seed)
         restore, tick, snapshot = runtime.restore, runtime.tick, runtime.snapshot
-        root_released, root_snap = (), snapshot()
+        root = ((), snapshot())
+
+        def release(observed: Word, program, parent_released: Word, parent_snap):
+            restore(parent_snap)
+            return parent_released + (tick(observed[-1].input, program).released,), snapshot()
     else:
-        root_released, root_snap = enforce(()), None
-    children = [(e, ConstantProgram(alphabet, e.output)) for e in alphabet.events]
+        root = (enforce(()), None)
+
+        def release(observed: Word, program, parent_released: Word, parent_snap):
+            return enforce(observed), None
+    children = [(e, ConstantProgram(alphabet, e.output)) for e in reversed(alphabet.events)]
     table, code = automaton.table, alphabet.code
     trap = automaton.index[automaton.violating]
 
     results = {name: True for name in CONSTRAINTS}
     counterexamples: dict[str, Word] = {}
-    words = 0
 
     def fail(name: str, observed: Word) -> None:
         if results[name]:
             results[name] = False
             counterexamples[name] = observed
 
-    def visit(observed: Word, observed_at: int, released: Word, snap, parent) -> None:
-        """Locations are numbers (``automaton.index``); ``parent`` is the
-        parent word's (released word, its location, the released input per
-        observed input of its children), or None at the root."""
-        nonlocal words
+    # (observed word, its location, its last event's program, parent): a
+    # parent is the parent word's (released word, its location, the released
+    # input per observed input of its children, snapshot), None at the root
+    pending = [((), automaton.index[automaton.initial], None, None)]
+    words = 0
+    while pending:
+        observed, observed_at, program, parent = pending.pop()
         words += 1
         extends = False
-        if parent is not None:
-            parent_released, parent_at, fixed_inputs = parent
+        if parent is None:
+            released, snap = root
+        else:
+            parent_released, parent_at, fixed_inputs, parent_snap = parent
+            released, snap = release(observed, program, parent_released, parent_snap)
             monotone = released[: len(parent_released)] == parent_released
             extends = monotone and len(released) == len(parent_released) + 1
         released_at = table[parent_at][code(released[-1])] if extends else automaton.walk(released)
@@ -160,24 +177,9 @@ def check_constraints(
             if x is None or released_at == trap or fixed_inputs.setdefault(event.input, x) != x:
                 fail("causality", observed)
         if len(observed) < max_len:
-            here = (released, released_at, {})
+            here = (released, released_at, {}, snap)
             row = table[observed_at]
-            if enforce is None:
-                for event, program in children:
-                    restore(snap)
-                    child_released = released + (tick(event.input, program).released,)
-                    visit(observed + (event,), row[event.code], child_released, snapshot(), here)
-            else:
-                for event, _ in children:
-                    child = observed + (event,)
-                    visit(child, row[event.code], enforce(child), None, here)
-
-    try:
-        visit((), automaton.index[automaton.initial], root_released, root_snap, None)
-    finally:
-        # visit reaches itself through its closure cell; emptying the cell
-        # breaks that cycle, so the enforcer and its programs are freed on
-        # return instead of when the cyclic collector next runs
-        del visit
+            for event, program in children:
+                pending.append((observed + (event,), row[event.code], program, here))
 
     return ConstraintReport(results, counterexamples, words)

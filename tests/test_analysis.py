@@ -103,6 +103,15 @@ class TestWitness:
         with pytest.raises(ValueError):
             non_enforceability_witness(at_most_one_tick(), "qv")
 
+    def test_witness_rejects_unreachable_location(self, alpha_11):
+        # q1 is declared but no event leads to it
+        targets = {"q0": "q0", "q1": "qv", "qv": "qv"}
+        delta = {(q, e): target for q, target in targets.items() for e in alpha_11.events}
+        a = SafetyAutomaton(alpha_11, ("q0", "q1", "qv"), "q0", "qv", delta)
+        for location in ("q1", "nope"):
+            with pytest.raises(ValueError, match=f"^location '{location}' is unreachable$"):
+                non_enforceability_witness(a, location)
+
 
 class TestTransform:
     def test_dead_end_branch_repairs_to_published_shape(self):

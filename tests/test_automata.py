@@ -120,6 +120,7 @@ class TestParse:
             ("q0 -> q9 : -/-", "unknown state"),
             ("q0 -> q0 : --/-", "pattern"),
             ("q0 -> q0 : -/2", "transition"),
+            ("states:", "^'states:' declares no states$"),
         ],
     )
     def test_malformed_documents(self, mutation, message):

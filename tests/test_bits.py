@@ -37,6 +37,21 @@ def test_event_text_round_trip():
     assert e.output == BitVector.from_text("1")
 
 
+@pytest.mark.parametrize(
+    "parse, message",
+    [
+        (lambda a: a.input_vector("1"), "input pattern '1' has 1 bits, expected 2"),
+        (lambda a: a.output_vector("10"), "output pattern '10' has 2 bits, expected 1"),
+        (lambda a: Event.from_text("10"), "expected 'inputs/outputs', got '10'"),
+    ],
+    ids=["input-width", "output-width", "no-slash"],
+)
+def test_malformed_text_is_rejected(parse, message):
+    with pytest.raises(ValueError) as caught:
+        parse(Alphabet(("A", "B"), ("R",)))
+    assert str(caught.value) == message
+
+
 def test_alphabet_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         Alphabet(("A", "A"), ("R",))

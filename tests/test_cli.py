@@ -1,8 +1,11 @@
+import dataclasses
 import filecmp
 
 import pytest
 
 from syncguard import (
+    Enforcer,
+    Event,
     dead_end_branch,
     dead_end_branch_repaired,
     isomorphic,
@@ -13,6 +16,7 @@ from syncguard import (
     at_most_one_tick,
 )
 from syncguard.cli import main
+from syncguard.programs import ScriptedProgram
 from syncguard.trace import read_trace
 
 
@@ -115,6 +119,19 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "q0: safe inputs {<empty>}  choose <empty>\n" in out
         assert "q0 given <empty>: safe outputs {0}  choose 0\n" in out
+
+
+    @pytest.mark.parametrize("policy", ["nearest", "lex", "random"])
+    def test_dead_automaton_prints_sets_without_choice(self, doomed_file, capsys, policy):
+        assert main(["explain", doomed_file, "--policy", policy]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("policy: ")
+        assert [line for line in lines[1:] if not line.startswith("(nearest")] == [
+            "q0: safe inputs {0 1}",
+            "q0 given 0: safe outputs {0 1}",
+            "q0 given 1: safe outputs {0 1}",
+            "q1: safe inputs {}",
+        ]
 
 
 class TestSimulate:
@@ -270,6 +287,44 @@ class TestSimulate:
         assert f"{path}: interface declares 17 variables; at most 16" in captured.err
 
 
+    def test_mealy_program_document(self, s1_file, tmp_path, capsys):
+        program = tmp_path / "toggle.mealy"
+        program.write_text(
+            "inputs: A B\noutputs: R\nstates: s t\ninitial: s\n"
+            "s -> t : -- / 1\nt -> s : -- / 0\n"
+        )
+        capsys.readouterr()
+        argv = ["simulate", s1_file, str(program), "--ticks", "6", "--seed", "2"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "# syncguard simulate policy=nearest seed=2 ticks=6 env=random\n"
+            "0\t11/1\t10/1\t1\t0\tq0\n"
+            "1\t01/0\t01/0\t0\t0\tq0\n"
+            "2\t11/1\t10/1\t1\t0\tq0\n"
+            "3\t00/0\t00/0\t0\t0\tq0\n"
+            "4\t11/1\t10/1\t1\t0\tq0\n"
+            "5\t11/0\t10/0\t1\t0\tq0\n"
+        )
+        assert captured.err == "ticks=6 input_edits=4 output_edits=0\n"
+
+    def test_unknown_environment_spec_exits_two(self, s1_file, capsys):
+        capsys.readouterr()
+        assert main(["simulate", s1_file, "const:0", "--env", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown environment spec 'bogus'\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_untransformable_property_exits_one(self, doomed_file, capsys, command):
+        capsys.readouterr()
+        argv = [command, doomed_file, "const:0", "--auto-transform", "--ticks", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: property cannot be transformed into an enforceable one\n"
+
+
 class TestVerify:
     def test_all_constraints_pass(self, s1_file, capsys):
         assert main(["verify", s1_file, "--max-len", "3"]) == 0
@@ -292,6 +347,56 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "enumeration budget exceeded" in captured.err
+
+    def test_depth_past_the_bound_exits_two(self, tmp_path, capsys):
+        # one event per level: 100000 is within the word budget, not the depth bound
+        path = tmp_path / "null.aut"
+        path.write_text("inputs:\noutputs:\nstates: q0 qv\ninitial: q0\nviolating: qv\nq0 -> q0 : /\n")
+        assert main(["verify", str(path), "--max-len", "1000"]) == 0
+        assert capsys.readouterr().out.endswith("words checked: 1001\n")
+        assert main(["verify", str(path), "--max-len", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_len must be at most 1000, got 100000\n"
+
+    def test_failed_check_prints_counterexamples_and_writes_the_replay(
+        self, s1_file, tmp_path, capsys, monkeypatch
+    ):
+        # break the enforcer: every tick releases the observed event as is
+        original = Enforcer.tick
+
+        def tick(self, inputs, program):
+            record = original(self, inputs, program)
+            return dataclasses.replace(record, released=record.observed)
+
+        monkeypatch.setattr(Enforcer, "tick", tick)
+        out = tmp_path / "counterexample.trace"
+        capsys.readouterr()
+        assert main(["verify", s1_file, "--max-len", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "soundness: FAIL\n"
+            "monotonicity: pass\n"
+            "instantaneity: pass\n"
+            "transparency: pass\n"
+            "causality: FAIL\n"
+            "weak_transparency: pass\n"
+            "words checked: 73\n"
+            "counterexample (soundness): 00/0 01/1\n"
+            "counterexample (causality): 00/0 01/1\n"
+            f"counterexample trace written to {out}\n"
+        )
+        assert out.read_text() == (
+            "# counterexample for soundness\n"
+            "0\t00/0\t00/0\t0\t0\tq0\n"
+            "1\t01/1\t01/1\t0\t1\tq0\n"
+        )
+        # the replay's records: one tick per observed event, each with its own output
+        enforcer = Enforcer(mutual_exclusion())
+        expected = [
+            enforcer.tick(e.input, ScriptedProgram([e.output]))
+            for e in map(Event.from_text, ("00/0", "01/1"))
+        ]
+        assert read_trace(out.read_text()) == expected
 
 
 def test_bench_prints_result(s1_file, capsys):

@@ -31,7 +31,7 @@ from syncguard import (
 )
 from syncguard.bits import format_word
 from syncguard.editing import canonical_policy, choose_nearest, select
-from syncguard.harness import WORD_BUDGET
+from syncguard.harness import MAX_DEPTH, WORD_BUDGET
 from syncguard.oracle import oracle_step
 
 
@@ -221,6 +221,25 @@ class TestCheckConstraints:
         )
         with pytest.raises(ValueError, match=f"more than {WORD_BUDGET} words"):
             check_constraints(a, NEAREST, max_len=10**9)
+
+    @pytest.mark.parametrize("max_len", [MAX_DEPTH + 1, 3000, 100_000, WORD_BUDGET - 1])
+    def test_depth_past_the_bound_rejected(self, max_len):
+        # one event per level: within the word budget, but past the depth bound
+        with pytest.raises(ValueError, match=f"^max_len must be at most {MAX_DEPTH}, got {max_len}$"):
+            check_constraints(always_accepting(Alphabet.null()), NEAREST, max_len=max_len)
+
+    @pytest.mark.parametrize("enforce", [None, lambda observed: observed], ids=["runtime", "custom"])
+    def test_every_depth_up_to_the_bound_walked(self, enforce):
+        a = always_accepting(Alphabet.null())
+        report = check_constraints(a, NEAREST, max_len=MAX_DEPTH, enforce=enforce)
+        assert report.passed and report.words_checked == MAX_DEPTH + 1
+
+    def test_word_budget_binds_before_the_depth_bound_from_two_events(self):
+        # every bound accepted on two or more events is under the depth bound
+        a = always_accepting(Alphabet(("A",), ()))
+        assert len(a.alphabet.events) == 2
+        with pytest.raises(ValueError, match="^enumeration budget exceeded"):
+            check_constraints(a, NEAREST, max_len=MAX_DEPTH)
 
     def test_negative_max_len_rejected(self):
         with pytest.raises(ValueError, match="max_len"):

@@ -140,6 +140,12 @@ class TestMealyConstruction:
         with pytest.raises(ValueError, match=f"^transition key {shown} is not a declared state"):
             MealyProgram(alpha_11, ("m0",), "m0", transitions)
 
+    def test_undeclared_initial_state_is_rejected_when_built(self, alpha_11):
+        x0, x1 = alpha_11.input_events
+        transitions = {("m0", x0): ("m0", bv("0")), ("m0", x1): ("m0", bv("1"))}
+        with pytest.raises(ValueError, match="^initial state 'ghost' not declared$"):
+            MealyProgram(alpha_11, ("m0",), "ghost", transitions)
+
     def test_the_table_is_copied_when_built(self, alpha_11):
         x0, x1 = alpha_11.input_events
         transitions = {("m0", x0): ("m0", bv("0")), ("m0", x1): ("m0", bv("1"))}
