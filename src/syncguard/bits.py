@@ -67,7 +67,8 @@ class BitVector:
         return self.bits < other.bits
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        width = len(self.bits)
+        return format(self.code, f"0{width}b") if width else ""
 
     def __repr__(self) -> str:
         return f"BitVector({str(self)!r})"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .analysis import NotEnforceableError
@@ -125,12 +126,12 @@ def choose_nearest(candidates: Iterable[BitVector], observed: BitVector) -> BitV
 
 
 def choose_lexicographic(candidates: Iterable[BitVector]) -> BitVector:
-    return min(candidates)
+    return min(candidates, key=attrgetter("bits"))
 
 
 def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVector:
     """Stable pseudo-random pick: a pure function of the seed and the set."""
-    ranked = sorted(candidates)
+    ranked = sorted(candidates, key=attrgetter("bits"))
     material = f"{0 if seed is None else seed}:" + ",".join(str(c) for c in ranked)
     digest = hashlib.sha256(material.encode("ascii")).digest()
     return ranked[int.from_bytes(digest[:8], "big") % len(ranked)]

@@ -82,19 +82,23 @@ def check_constraints(
     above.  Each word carries the locations of the observed and of the
     released word, as numbers, each one lookup in
     :attr:`~syncguard.automata.SafetyAutomaton.table` from its parent's
-    (the released event's code is checked against the alphabet first), so
+    (the released event must be the alphabet's instance at its code,
+    checked inline as :meth:`~syncguard.automata.SafetyAutomaton.walk`
+    does), so
     every constraint is a lookup; a parent also records, per observed
     input, the released input its first extending child got, against
     which the later siblings are compared.  A released word that does not
     extend its parent's by one event (only a custom ``enforce`` makes one)
     is walked again from the initial location.  The runtime releases a
-    child by ``restore`` of its parent's snapshot, one ``tick`` and a
-    ``snapshot``; nothing else is read from it.  Its program is one
-    :class:`ConstantProgram` per event, built once per call, which answers
-    with the word's last observed output because the runtime calls the
-    program exactly once per tick.  Monotonicity is checked against the
-    parent alone: the first word whose released word misses an ancestor's
-    also misses its parent's, since the parent's extends every ancestor's.
+    child, in the loop, by ``restore`` of its parent's snapshot and one
+    ``tick``, and is asked for a ``snapshot`` only of a word that gets
+    children (below ``max_len``); nothing else is read from it.  Its
+    program is one :class:`ConstantProgram` per event, built once per
+    call, which answers with the word's last observed output because the
+    runtime calls the program exactly once per tick.  Monotonicity is
+    checked against the parent alone: the first word whose released word
+    misses an ancestor's also misses its parent's, since the parent's
+    extends every ancestor's.
 
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
@@ -120,18 +124,8 @@ def check_constraints(
     if enforce is None:
         runtime = Enforcer(automaton, policy, seed)
         restore, tick, snapshot = runtime.restore, runtime.tick, runtime.snapshot
-        root = ((), snapshot())
-
-        def release(observed: Word, program, parent_released: Word, parent_snap):
-            restore(parent_snap)
-            return parent_released + (tick(observed[-1].input, program).released,), snapshot()
-    else:
-        root = (enforce(()), None)
-
-        def release(observed: Word, program, parent_released: Word, parent_snap):
-            return enforce(observed), None
     children = [(e, ConstantProgram(alphabet, e.output)) for e in reversed(alphabet.events)]
-    table, code = automaton.table, alphabet.code
+    table, events, code = automaton.table, alphabet.events, alphabet.code
     trap = automaton.index[automaton.violating]
 
     results = {name: True for name in CONSTRAINTS}
@@ -152,13 +146,25 @@ def check_constraints(
         words += 1
         extends = False
         if parent is None:
-            released, snap = root
+            released = () if enforce is None else enforce(())
         else:
             parent_released, parent_at, fixed_inputs, parent_snap = parent
-            released, snap = release(observed, program, parent_released, parent_snap)
+            if enforce is None:
+                restore(parent_snap)
+                released = parent_released + (tick(observed[-1].input, program).released,)
+            else:
+                released = enforce(observed)
             monotone = released[: len(parent_released)] == parent_released
             extends = monotone and len(released) == len(parent_released) + 1
-        released_at = table[parent_at][code(released[-1])] if extends else automaton.walk(released)
+        if extends:
+            last = released[-1]
+            try:
+                known = events[last.code] is last
+            except (AttributeError, IndexError, TypeError):
+                known = False
+            released_at = table[parent_at][last.code if known else code(last)]
+        else:
+            released_at = automaton.walk(released)
         if released_at == trap:
             fail("soundness", observed)
         if len(released) != len(observed):
@@ -177,7 +183,7 @@ def check_constraints(
             if x is None or released_at == trap or fixed_inputs.setdefault(event.input, x) != x:
                 fail("causality", observed)
         if len(observed) < max_len:
-            here = (released, released_at, {}, snap)
+            here = (released, released_at, {}, snapshot() if enforce is None else None)
             row = table[observed_at]
             for event, program in children:
                 pending.append((observed + (event,), row[event.code], program, here))

@@ -79,13 +79,14 @@ class Enforcer:
     enforceability report if the automaton has dead locations.  The
     enforcers of one automaton object that are alive at once share one
     ``edit_sets``, built by the first of them, so it is read-only by
-    contract; only the table is each enforcer's own.  ``tick``
-    applies one keep-or-repair rule to the observed input, against the
-    safe inputs at the current location, and then to the program's
-    output, against the safe outputs given the released input; the
-    program is passed to each ``tick`` or ``run`` call.  A single
-    instance is single-owner: only ``tick`` mutates it, and only after
-    the program has returned.
+    contract; only the table is each enforcer's own.  ``tick`` keeps
+    the observed input if it is in the safe inputs at the current
+    location, and then the program's output if it is in the safe outputs
+    given the released input; only a vector it cannot keep goes to
+    ``_repair``, which checks it and asks the policy.  The next location
+    is one read of the automaton's ``table``; the program is passed to
+    each ``tick`` or ``run`` call.  A single instance is single-owner:
+    only ``tick`` mutates it, and only after the program has returned.
     """
 
     def __init__(
@@ -144,50 +145,57 @@ class Enforcer:
         output that is not a vector of the interface's width raises
         ValueError; a bad input does so before the program is called.  If
         anything raises, the enforcer's state is unchanged.
+
+        A vector in its safe set is kept, and one is valid, so a tick with
+        no edit releases the observed event: one lookup at the pair's code
+        in :attr:`~syncguard.bits.Alphabet.events`.  Only an edited tick
+        checks the observed vector and looks up the observed event through
+        :meth:`~syncguard.bits.Alphabet.event`.
         """
         q = self.location
         sets = self.edit_sets
-        fixed_input, input_edited = self._keep_or_repair(
-            sets.safe_inputs[q], inputs, self._in_width, "input"
-        )
-        outputs = program(fixed_input)
-        fixed_output, output_edited = self._keep_or_repair(
-            sets.safe_outputs[(q, fixed_input)], outputs, self._out_width, "program output"
+        safe = sets.safe_inputs[q]
+        try:
+            input_kept = inputs in safe
+        except TypeError:  # unhashable, so not a BitVector
+            input_kept = False
+        x = inputs if input_kept else self._repair(safe, inputs, self._in_width, "input")
+        outputs = program(x)
+        safe = sets.safe_outputs[(q, x)]
+        try:
+            output_kept = outputs in safe
+        except TypeError:
+            output_kept = False
+        y = outputs if output_kept else self._repair(
+            safe, outputs, self._out_width, "program output"
         )
 
-        alphabet = self.automaton.alphabet
-        released = alphabet.event(fixed_input, fixed_output)
+        automaton = self.automaton
+        alphabet = automaton.alphabet
+        released = alphabet.events[(x.code << self._out_width) | y.code]
+        location = automaton.locations[automaton.table[automaton.index[q]][released.code]]
         record = TickRecord(
             self.ticks,
-            alphabet.event(inputs, outputs),
+            released if input_kept and output_kept else alphabet.event(inputs, outputs),
             released,
-            input_edited,
-            output_edited,
-            self.automaton.step(q, released),
+            not input_kept,
+            not output_kept,
+            location,
         )
-        self.location = record.state_after
+        self.location = location
         self.ticks += 1
         return record
 
-    def _keep_or_repair(
-        self, safe: frozenset[BitVector], observed, width: int, role: str
-    ) -> tuple[BitVector, bool]:
-        """The vector to release for one observed vector, and whether it was edited.
+    def _repair(self, safe: frozenset[BitVector], observed, width: int, role: str) -> BitVector:
+        """The policy's pick from a safe set the observed vector is not in.
 
-        A member of the safe set is kept.  It is a valid vector, so only
-        the edit path checks that the observed vector is a BitVector of
-        the interface's width (ValueError naming ``role`` if not) before
-        replacing it by the policy's pick from the set.
+        Checks first that the observed vector is a BitVector of the
+        interface's width (ValueError naming ``role`` if not).
         """
-        try:
-            if observed in safe:
-                return observed, False
-        except TypeError:  # unhashable, so not a BitVector
-            pass
         _check_vector(observed, width, role)
         if self.tables is None:
-            return choose_nearest(safe, observed), True
-        return self.tables[safe], True
+            return choose_nearest(safe, observed)
+        return self.tables[safe]
 
     def run(self, env: Iterable[BitVector], program: TickFunction) -> list[TickRecord]:
         """Fold ``tick`` over an input sequence."""

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import sys
 import threading
@@ -16,6 +17,13 @@ def test_bitvector_rendering_follows_declaration_order():
     assert str(BitVector((1, 0))) == "10"
     assert str(BitVector.from_text("01")) == "01"
     assert str(BitVector(())) == ""
+
+
+def test_rendering_is_the_bits_in_order_at_every_width():
+    for width in range(13):
+        for bits_ in itertools.product((0, 1), repeat=width):
+            vector = BitVector(bits_)
+            assert str(vector) == "".join(map(str, vector.bits))
 
 
 def test_bitvector_rejects_non_bits():

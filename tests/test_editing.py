@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from syncguard import (
     mutual_exclusion,
     project_inputs,
 )
-from syncguard.editing import choose_nearest, choose_seeded, select
+from syncguard.editing import choose_lexicographic, choose_nearest, choose_seeded, select
 
 from .strategies import safety_automata
 
@@ -36,6 +38,10 @@ def ev(text):
 
 def set_of(vectors):
     return frozenset(bv(t) for t in vectors)
+
+
+def _vectors(width):
+    return [BitVector(bits) for bits in itertools.product((0, 1), repeat=width)]
 
 
 class TestEditSets:
@@ -203,6 +209,49 @@ class TestRepair:
         assert best in chosen
         distance = {c: sum(a != b for a, b in zip(observed.bits, c.bits)) for c in chosen}
         assert distance[best] == min(distance.values())
+
+    def test_nearest_equals_the_code_key(self):
+        # the Hamming distance is the XOR's bit count, and the XOR's numeric
+        # order is the order of the mismatch tuples choose_nearest compares
+        def by_code(candidates, observed):
+            return min(
+                candidates,
+                key=lambda c: ((c.code ^ observed.code).bit_count(), c.code ^ observed.code),
+            )
+
+        for width in range(4):
+            vectors = _vectors(width)
+            for mask in range(1, 2 ** len(vectors)):
+                candidates = frozenset(v for k, v in enumerate(vectors) if mask >> k & 1)
+                for observed in vectors:
+                    assert choose_nearest(candidates, observed) is by_code(candidates, observed)
+        rng = random.Random(4)
+        for width in (4, 5, 6, 8):
+            vectors = _vectors(width)
+            for _ in range(1000):
+                candidates = frozenset(rng.sample(vectors, rng.randint(1, len(vectors))))
+                observed = rng.choice(vectors)
+                assert choose_nearest(candidates, observed) is by_code(candidates, observed)
+
+    def test_seeded_and_lexicographic_picks_equal_the_definitions_by_lt(self):
+        # the picks compare ``bits`` tuples; these definitions compare
+        # through ``BitVector.__lt__`` and render each vector bit by bit
+        def seeded(candidates, seed):
+            ranked = sorted(candidates)
+            material = f"{0 if seed is None else seed}:" + ",".join(
+                "".join(str(b) for b in c.bits) for c in ranked
+            )
+            digest = hashlib.sha256(material.encode("ascii")).digest()
+            return ranked[int.from_bytes(digest[:8], "big") % len(ranked)]
+
+        rng = random.Random(8)
+        for width in range(9):
+            vectors = _vectors(width)
+            for _ in range(200):
+                candidates = frozenset(rng.sample(vectors, rng.randint(1, len(vectors))))
+                seed = rng.choice((None, rng.randrange(2**32)))
+                assert choose_seeded(candidates, seed) is seeded(candidates, seed)
+                assert choose_lexicographic(candidates) is min(candidates)
 
     def test_seeded_choice_is_stable_and_member(self):
         candidates = set_of(["00", "01", "10"])

@@ -284,6 +284,20 @@ class TestRejectedTick:
         assert enforcer.snapshot() == (enforcer.automaton.initial, 0)
 
     @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "outputs", [bv("00"), bv("11"), bv("")], ids=["too-wide-0", "too-wide-1", "too-narrow"]
+    )
+    def test_wrong_width_program_output_rejected(self, policy, outputs):
+        enforcer = Enforcer(mutual_exclusion(), policy, seed=1)
+        kept = enforcer.tick(bv("10"), lambda x: bv("1"))
+        assert not (kept.input_edited or kept.output_edited)
+        assert kept.observed is kept.released
+        before = enforcer.snapshot()
+        with pytest.raises(ValueError, match="program output"):
+            enforcer.tick(bv("10"), lambda x: outputs)
+        assert enforcer.snapshot() == before
+
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_program_exception_leaves_the_enforcer_unchanged(self, policy):
         a = mutual_exclusion()
         program = parse_program(CONSTANT_ONE)
