@@ -90,9 +90,11 @@ def check_constraints(
     which the later siblings are compared.  A released word that does not
     extend its parent's by one event (only a custom ``enforce`` makes one)
     is walked again from the initial location.  The runtime releases a
-    child, in the loop, by ``restore`` of its parent's snapshot and one
-    ``tick``, and is asked for a ``snapshot`` only of a word that gets
-    children (below ``max_len``); nothing else is read from it.  Its
+    child, in the loop, by one ``tick``, after a ``restore`` of its
+    parent's snapshot unless the parent is the word just snapshotted (a
+    parent's first child, popped next, finds the runtime there already),
+    and is asked for a ``snapshot`` only of a word that gets children
+    (below ``max_len``); nothing else is read from it.  Its
     program is one :class:`ConstantProgram` per event, built once per
     call, which answers with the word's last observed output because the
     runtime calls the program exactly once per tick.  Monotonicity is
@@ -141,6 +143,7 @@ def check_constraints(
     # input per observed input of its children, snapshot), None at the root
     pending = [((), automaton.index[automaton.initial], None, None)]
     words = 0
+    current = None  # the parent entry whose snapshot the runtime sits at
     while pending:
         observed, observed_at, program, parent = pending.pop()
         words += 1
@@ -150,7 +153,8 @@ def check_constraints(
         else:
             parent_released, parent_at, fixed_inputs, parent_snap = parent
             if enforce is None:
-                restore(parent_snap)
+                if parent is not current:
+                    restore(parent_snap)
                 released = parent_released + (tick(observed[-1].input, program).released,)
             else:
                 released = enforce(observed)
@@ -187,5 +191,8 @@ def check_constraints(
             row = table[observed_at]
             for event, program in children:
                 pending.append((observed + (event,), row[event.code], program, here))
+            current = here
+        else:
+            current = None
 
     return ConstraintReport(results, counterexamples, words)

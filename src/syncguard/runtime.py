@@ -149,8 +149,8 @@ class Enforcer:
         A vector in its safe set is kept, and one is valid, so a tick with
         no edit releases the observed event: one lookup at the pair's code
         in :attr:`~syncguard.bits.Alphabet.events`.  Only an edited tick
-        checks the observed vector and looks up the observed event through
-        :meth:`~syncguard.bits.Alphabet.event`.
+        checks the observed vector it repairs; once both vectors are known
+        valid, the observed event is the same lookup at their code.
         """
         q = self.location
         sets = self.edit_sets
@@ -171,12 +171,15 @@ class Enforcer:
         )
 
         automaton = self.automaton
-        alphabet = automaton.alphabet
-        released = alphabet.events[(x.code << self._out_width) | y.code]
+        events = automaton.alphabet.events
+        out_width = self._out_width
+        released = events[(x.code << out_width) | y.code]
         location = automaton.locations[automaton.table[automaton.index[q]][released.code]]
         record = TickRecord(
             self.ticks,
-            released if input_kept and output_kept else alphabet.event(inputs, outputs),
+            released
+            if input_kept and output_kept
+            else events[(inputs.code << out_width) | outputs.code],
             released,
             not input_kept,
             not output_kept,

@@ -111,6 +111,40 @@ class TestCheckConstraints:
             report = check_constraints(mutual_exclusion(), policy, max_len=3, seed=7)
             assert report.passed, report
 
+    def test_restores_only_where_the_runtime_moved(self, monkeypatch):
+        a = mutual_exclusion()
+        events = a.alphabet.events
+        size = len(events)
+        # one tick per non-empty word, depth first in event order, each from
+        # the state a fresh runtime reaches on the word's prefix
+        expected = []
+        for word in sorted(
+            w for n in range(1, 4) for w in itertools.product(range(size), repeat=n)
+        ):
+            runner = Enforcer(a, NEAREST)
+            for i in word[:-1]:
+                runner.tick(events[i].input, lambda _, y=events[i].output: y)
+            expected.append((runner.snapshot(), events[word[-1]].input))
+
+        restores, ticks = [], []
+        restore, tick = Enforcer.restore, Enforcer.tick
+
+        def counting_restore(self, snapshot):
+            restores.append(snapshot)
+            restore(self, snapshot)
+
+        def recording_tick(self, inputs, program):
+            ticks.append((self.snapshot(), inputs))
+            return tick(self, inputs, program)
+
+        monkeypatch.setattr(Enforcer, "restore", counting_restore)
+        monkeypatch.setattr(Enforcer, "tick", recording_tick)
+        report = check_constraints(a, NEAREST, max_len=3)
+        assert report.passed and report.words_checked == 1 + size + size**2 + size**3
+        # every word but the root is ticked; a parent's first child needs no restore
+        assert len(restores) == size**3 - 1
+        assert ticks == expected
+
     def test_enforcer_freed_on_return_without_the_cyclic_collector(self):
         # a copy no other code holds, so no live enforcer elsewhere lends its sets
         a = copy.copy(mutual_exclusion())

@@ -250,6 +250,24 @@ class TestDecision:
                             )
                             assert record.state_after == a.delta[(q, released)]
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_edited_tick_observes_the_shared_event(self, policy):
+        # input edits, output edits and both, at every location of two properties
+        kinds = set()
+        random19 = normalize(parse_automaton((GOLDEN / "random19.aut").read_text()))
+        for a in (mutual_exclusion(), random19):
+            alphabet = a.alphabet
+            enforcer = Enforcer(a, policy, seed=5)
+            for q in a.accepting_locations:
+                for x in alphabet.input_events:
+                    for y in alphabet.output_events:
+                        enforcer.restore((q, 0))
+                        record = enforcer.tick(x, lambda _: y)
+                        if record.input_edited or record.output_edited:
+                            kinds.add((record.input_edited, record.output_edited))
+                            assert record.observed is Event(x, y), (policy, q, x, y)
+        assert kinds == {(True, False), (False, True), (True, True)}
+
 
 class TestRejectedTick:
     """A failed tick raises before the enforcer's state changes."""

@@ -31,6 +31,24 @@ def test_random_inputs_cover_the_input_alphabet():
     assert drawn == set(alpha.input_events)
 
 
+@pytest.mark.parametrize("width", [0, 1, 4, 8, 9, 16])
+def test_random_inputs_match_the_per_tick_definition(width):
+    import random
+
+    from syncguard.sim import DRAWS_PER_CALL
+
+    alpha = Alphabet(tuple(f"i{k}" for k in range(width)), ())
+    choices = alpha.input_events
+    lengths = [-1, 0, 1, 2, 3, DRAWS_PER_CALL - 1, DRAWS_PER_CALL, DRAWS_PER_CALL + 1]
+    for seed in (0, 7, 2**40 + 3):
+        for ticks in lengths:
+            rng = random.Random(seed)
+            expected = [choices[rng.getrandbits(32) % len(choices)] for _ in range(ticks)]
+            drawn = random_inputs(alpha, ticks, seed)
+            assert len(drawn) == len(expected), (seed, ticks)
+            assert all(d is e for d, e in zip(drawn, expected)), (seed, ticks)
+
+
 def null_output_program(automaton):
     from syncguard import ConstantProgram
 
