@@ -48,7 +48,6 @@ from .programs import (
     ScriptedProgram,
     SyntheticProgram,
     TickFunction,
-    abo_program,
     null_program,
     parse_program,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "TickFunction",
     "TickRecord",
     "Word",
-    "abo_program",
     "all_normalized_automata",
     "always_accepting",
     "at_most_one_tick",

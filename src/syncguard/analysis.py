@@ -21,8 +21,11 @@ from .bits import Word
 
 @dataclass(frozen=True)
 class EnforceabilityReport:
-    enforceable: bool
     dead_locations: tuple[str, ...]
+
+    @property
+    def enforceable(self) -> bool:
+        return not self.dead_locations
 
     def __str__(self) -> str:
         if self.enforceable:
@@ -48,7 +51,7 @@ def check_enforceability(automaton: SafetyAutomaton) -> EnforceabilityReport:
         for q, row in zip(automaton.locations, automaton.table)
         if q != automaton.violating and row.count(trap) == len(row)
     )
-    return EnforceabilityReport(enforceable=not dead, dead_locations=dead)
+    return EnforceabilityReport(dead)
 
 
 def non_enforceability_witness(automaton: SafetyAutomaton, dead_location: str) -> Word:

@@ -60,9 +60,6 @@ class BitVector:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __iter__(self):
-        return iter(self.bits)
-
     def __lt__(self, other: "BitVector") -> bool:
         return self.bits < other.bits
 
@@ -207,10 +204,6 @@ class Alphabet:
     def output_vector(self, text: str) -> BitVector:
         """The shared output valuation a bit string names."""
         return _vector(text, len(self.outputs), "output")
-
-    def expand_input_pattern(self, pattern: str) -> tuple[BitVector, ...]:
-        inputs = self.input_events
-        return tuple(inputs[x] for x in _codes(pattern, len(self.inputs), "input"))
 
     def expand_event_pattern(self, pattern: str) -> tuple[Event, ...]:
         """Expand an ``inpat/outpat`` pattern over {0,1,-} to concrete events."""

@@ -9,16 +9,16 @@ element of that set, picked by one of three policies:
 
 ``nearest``
     Minimal Hamming distance from the observed event; ties prefer
-    agreement with the observed event on earlier-declared variables, then
-    the numerically smallest bit string.  Observed-dependent, computed per
-    event.
+    agreement with the observed event on earlier-declared variables.
+    Observed-dependent, computed per event.
 ``lexicographic``
     Numerically smallest element.  Observed-independent, precomputable.
 ``seeded-random``
     Reproducible pseudo-random pick keyed by (seed, candidate set), via
     SHA-256.  Observed-independent, precomputable.
 
-:func:`select` is the one dispatcher from a policy to its choice.
+:func:`select` is the one dispatcher from a policy to its choice, and it
+refuses an empty set under every policy.
 :func:`build_edit_tables` applies it once per automaton for the
 observed-independent policies, one pick per distinct safe set, keyed by
 that set; the word-level oracle applies it to the sets it recomputes
@@ -115,12 +115,13 @@ def choose_nearest(candidates: Iterable[BitVector], observed: BitVector) -> BitV
 
     Ties prefer candidates agreeing with the observed vector on the
     earliest-declared variables (mismatch positions compared left to
-    right), then the numerically smallest bit string.
+    right).  The mismatch positions fix the candidate, so no further
+    tie-break is needed.
     """
 
     def key(c: BitVector):
         mismatches = tuple(int(a != b) for a, b in zip(c.bits, observed.bits))
-        return (sum(mismatches), mismatches, c.bits)
+        return (sum(mismatches), mismatches)
 
     return min(candidates, key=key)
 
@@ -143,7 +144,12 @@ def select(
     policy: str,
     seed: Optional[int] = None,
 ) -> BitVector:
-    """The policy's pick from a non-empty set; only ``nearest`` reads ``observed``."""
+    """The policy's pick from a non-empty set; only ``nearest`` reads ``observed``.
+
+    An empty set raises ``ValueError`` under every policy.
+    """
+    if not candidates:
+        raise ValueError("no candidate to pick from: the safe set is empty")
     if policy == NEAREST:
         return choose_nearest(candidates, observed)
     if policy == LEXICOGRAPHIC:
@@ -160,28 +166,25 @@ def build_edit_tables(
 
     The keys are each accepting location's safe inputs and, for each safe
     input, its safe outputs; a pick is a function of the set alone, so
-    locations with equal sets share one entry.  An empty safe set means
-    the automaton violates the enforceability condition.  ``nearest``
+    locations with equal sets share one entry.  Every set is checked
+    first: an empty one means the automaton violates the enforceability
+    condition and raises :class:`NotEnforceableError`.  Then each distinct
+    set, in first-seen order, gets one :func:`select` call.  ``nearest``
     depends on the observed event, so it has no table.
     """
     policy = canonical_policy(policy)
     if policy == NEAREST:
         raise ValueError("the nearest policy is observed-dependent; no static table exists")
-    picks: dict[frozenset[BitVector], BitVector] = {}
-
-    def pick(candidates: frozenset[BitVector]) -> None:
-        if candidates not in picks:
-            picks[candidates] = select(candidates, None, policy, seed)
-
+    distinct: dict[frozenset[BitVector], None] = {}  # first-seen order
     for q, candidates in sets.safe_inputs.items():
         if not candidates:
             raise NotEnforceableError(f"automaton not enforceable: location {q} is dead")
-        pick(candidates)
+        distinct[candidates] = None
         for x in candidates:
             outputs = sets.safe_outputs[(q, x)]
             if not outputs:
                 raise NotEnforceableError(
                     f"automaton not enforceable: no safe output at ({q}, {x})"
                 )
-            pick(outputs)
-    return picks
+            distinct[outputs] = None
+    return {candidates: select(candidates, None, policy, seed) for candidates in distinct}

@@ -46,7 +46,11 @@ def oracle_step(
     accepted.  Repairs use the same selection policy as the runtime,
     applied to sets recomputed here from the automaton alone.  ``policy``
     may be an alias (``lex``, ``random``); an unknown name, or an event
-    that is not in the alphabet, raises ``ValueError``.
+    that is not in the alphabet, raises ``ValueError``.  So does any
+    event after a prefix that reaches a dead location (one whose every
+    event violates, which only a non-enforceable automaton has): no input
+    is safe there, and :func:`~syncguard.editing.select` refuses an empty
+    set under every policy.
     """
     policy = canonical_policy(policy)
     alphabet = automaton.alphabet

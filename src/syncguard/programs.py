@@ -26,7 +26,7 @@ import random
 from typing import Protocol, Sequence
 
 from .automata import ParseError, _parse_document
-from .bits import Alphabet, BitVector
+from .bits import Alphabet, BitVector, _codes
 
 _MEALY_HEADER_KEYS = ("inputs", "outputs", "states", "initial")
 
@@ -54,19 +54,19 @@ class MealyProgram:
         transitions: dict[tuple[str, BitVector], tuple[str, BitVector]],
     ):
         self.alphabet = alphabet
-        self.states = tuple(states)
         self.initial = initial
-        if initial not in self.states:
+        states = tuple(states)
+        if initial not in states:
             raise ValueError(f"initial state {initial!r} not declared")
         width = len(alphabet.outputs)
         table: dict[tuple[str, BitVector], tuple[str, BitVector]] = {}
-        for state in self.states:
+        for state in states:
             for x in alphabet.input_events:
                 try:
                     target, y = transitions[(state, x)]
                 except KeyError:
                     raise ValueError(f"missing transition from {state!r} on input {x}") from None
-                if target not in self.states:
+                if target not in states:
                     raise ValueError(
                         f"transition from {state!r} on input {x} targets undeclared state {target!r}"
                     )
@@ -99,11 +99,11 @@ def parse_program(text: str) -> MealyProgram:
     transitions: dict[tuple[str, BitVector], tuple[str, BitVector]] = {}
     for lineno, src, dst, in_pat, out_bits in lines:
         try:
-            xs = alphabet.expand_input_pattern(in_pat)
+            xs = _codes(in_pat, len(alphabet.inputs), "input")
             y = alphabet.output_vector(out_bits)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        for x in xs:
+        for x in map(alphabet.input_events.__getitem__, xs):
             if (src, x) in transitions and transitions[(src, x)] != (dst, y):
                 raise ParseError(
                     f"line {lineno}: conflicting transition from {src!r} on input {x}"
@@ -116,12 +116,11 @@ def parse_program(text: str) -> MealyProgram:
 class ConstantProgram:
     """Emits the same output vector every tick."""
 
-    __slots__ = ("alphabet", "outputs")
+    __slots__ = ("outputs",)
 
     def __init__(self, alphabet: Alphabet, outputs: BitVector):
         if len(outputs) != len(alphabet.outputs):
             raise ValueError("output width mismatch")
-        self.alphabet = alphabet
         self.outputs = outputs
 
     def __call__(self, inputs: BitVector) -> BitVector:
@@ -174,7 +173,6 @@ class SyntheticProgram:
             raise ValueError("width must be at least 8")
         self.alphabet = alphabet
         self.width = width
-        self.seed = seed
         self._taps = random.Random(seed).sample(range(width), k=4)
         self._initial = tuple(random.Random(seed + 1).getrandbits(1) for _ in range(width))
         self.register = list(self._initial)
@@ -204,24 +202,3 @@ def null_program() -> ConstantProgram:
     """Program over the null interface: no inputs, no outputs."""
     return ConstantProgram(Alphabet.null(), BitVector(()))
 
-
-_ABO_DOC = """
-inputs: A B
-outputs: O
-states: wait sawA sawB done
-initial: wait
-wait -> done : 11 / 1
-wait -> sawA : 10 / 0
-wait -> sawB : 01 / 0
-wait -> wait : 00 / 0
-sawA -> done : -1 / 1
-sawA -> sawA : -0 / 0
-sawB -> done : 1- / 1
-sawB -> sawB : 0- / 0
-done -> done : -- / 0
-"""
-
-
-def abo_program() -> MealyProgram:
-    """Awaits A and B (in any order), emits O once when both have arrived."""
-    return parse_program(_ABO_DOC)

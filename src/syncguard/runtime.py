@@ -98,12 +98,8 @@ class Enforcer:
         policy = canonical_policy(policy)
         self.automaton = automaton
         self.edit_sets = _shared_edit_sets(automaton)
-        self.policy = policy
-        self.seed = seed
         self.tables = (
-            None
-            if self.policy == NEAREST
-            else build_edit_tables(self.edit_sets, self.policy, seed)
+            None if policy == NEAREST else build_edit_tables(self.edit_sets, policy, seed)
         )
         self.location = automaton.initial
         self.ticks = 0

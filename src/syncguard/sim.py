@@ -33,6 +33,12 @@ from .programs import TickFunction
 from .runtime import Enforcer, TickRecord
 
 
+def _check_seed(seed) -> None:
+    # None would seed from OS entropy, and True draws as 1 but picks repairs as "True"
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+
+
 @dataclass
 class SimConfig:
     ticks: int = 1000
@@ -45,6 +51,7 @@ class SimConfig:
             raise ValueError("ticks must be non-negative")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        _check_seed(self.seed)
 
 
 DRAWS_PER_CALL = 1 << 16  # 32-bit words random_inputs takes per getrandbits call
@@ -55,8 +62,10 @@ def random_inputs(alphabet: Alphabet, ticks: int, seed: int) -> list[BitVector]:
 
     Each chunk of ticks is one wide draw, read as 16-bit halves: the low
     half of word i is the i-th ``getrandbits(32)``'s low 16 bits, which
-    is all the modulus (at most 2**16, a power of two) keeps.
+    is all the modulus (at most 2**16, a power of two) keeps.  A seed
+    that is not an int raises ``ValueError``.
     """
+    _check_seed(seed)
     rng = random.Random(seed)
     choices = alphabet.input_events
     mask = len(choices) - 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from syncguard import (
+    EnforceabilityReport,
     NotEnforceableError,
     SafetyAutomaton,
     always_accepting,
@@ -165,3 +166,14 @@ def test_not_enforceable_error_carries_report():
     with pytest.raises(NotEnforceableError) as excinfo:
         Enforcer(at_most_one_tick())
     assert excinfo.value.report.dead_locations == ("q1",)
+
+
+def test_report_verdict_is_read_off_its_dead_locations():
+    # a report cannot claim enforceable while it lists a dead location
+    assert EnforceabilityReport(()).enforceable
+    assert str(EnforceabilityReport(())) == "enforceable"
+    report = EnforceabilityReport(("q1",))
+    assert not report.enforceable
+    assert str(report) == "not enforceable; dead locations: q1"
+    assert report == check_enforceability(at_most_one_tick())
+    assert check_enforceability(mutual_exclusion()) == EnforceabilityReport(())

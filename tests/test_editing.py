@@ -20,6 +20,7 @@ from syncguard import (
     build_edit_tables,
     canonical_policy,
     compute_edit_sets,
+    editing,
     mutual_exclusion,
     project_inputs,
 )
@@ -129,7 +130,14 @@ class TestEditTables:
         t2 = build_edit_tables(sets, SEEDED_RANDOM, seed=5)
         assert t1 == t2
 
-    def test_keys_are_the_distinct_safe_sets(self, random_family):
+    def test_keys_are_the_distinct_safe_sets(self, random_family, monkeypatch):
+        picked = []
+
+        def counting_select(candidates, observed, policy, seed=None):
+            picked.append(candidates)
+            return select(candidates, observed, policy, seed)
+
+        monkeypatch.setattr(editing, "select", counting_select)
         for a in [mutual_exclusion()] + random_family[:20]:
             sets = compute_edit_sets(a)
             expected = {sets.safe_inputs[q] for q in a.accepting_locations}
@@ -139,7 +147,10 @@ class TestEditTables:
                 for x in sets.safe_inputs[q]
             }
             for policy in (LEXICOGRAPHIC, SEEDED_RANDOM):
+                picked.clear()
                 assert set(build_edit_tables(sets, policy, 3)) == expected
+                # one select call per distinct set
+                assert len(picked) == len(expected) and set(picked) == expected
 
     def test_tables_stay_inside_the_sets(self, random_family):
         # each value is the policy's pick from its key, so a member of it
@@ -260,6 +271,12 @@ class TestRepair:
         assert choose_seeded(candidates, seed=9) == pick
         # and differs for at least one other seed over many tries
         assert any(choose_seeded(candidates, seed=s) != pick for s in range(32))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_select_refuses_an_empty_set(policy):
+    with pytest.raises(ValueError, match="the safe set is empty"):
+        select(frozenset(), bv("01"), policy, 3)
 
 
 def test_policy_aliases():

@@ -409,6 +409,18 @@ def test_oracle_step_rejects_a_foreign_event(policy, observed):
             oracle_step(a, released, ev(observed), policy, 7)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_oracle_refuses_an_event_at_a_dead_location(policy):
+    # the first event reaches a location whose every event violates, so no
+    # input is safe there and the pick has nothing to choose from
+    a = at_most_one_tick()
+    e = a.alphabet.events[0]
+    with pytest.raises(ValueError, match="the safe set is empty"):
+        oracle_step(a, (e,), e, policy, 3)
+    with pytest.raises(ValueError, match="the safe set is empty"):
+        oracle_enforce(a, (e, e), policy, 3)
+
+
 class TestOracleStepDefinition:
     """``oracle_step`` against its definition, rebuilt here from
     ``SafetyAutomaton.accepts`` alone: keep the observed input iff some

@@ -9,13 +9,28 @@ from syncguard import (
     ParseError,
     ScriptedProgram,
     SyntheticProgram,
-    abo_program,
     null_program,
     parse_program,
 )
-from syncguard.programs import _ABO_DOC
 
 from .strategies import mutated_documents
+
+# Awaits A and B (in any order), emits O once when both have arrived.
+ABO_DOC = """
+inputs: A B
+outputs: O
+states: wait sawA sawB done
+initial: wait
+wait -> done : 11 / 1
+wait -> sawA : 10 / 0
+wait -> sawB : 01 / 0
+wait -> wait : 00 / 0
+sawA -> done : -1 / 1
+sawA -> sawA : -0 / 0
+sawB -> done : 1- / 1
+sawB -> sawB : 0- / 0
+done -> done : -- / 0
+"""
 
 
 def bv(text):
@@ -99,7 +114,7 @@ class TestMealyParsing:
             parse_program("\n".join(lines))
 
     @settings(max_examples=200, deadline=None)
-    @given(text=mutated_documents(_ABO_DOC))
+    @given(text=mutated_documents(ABO_DOC))
     def test_mutated_document_parses_or_raises_value_error(self, text):
         try:
             parse_program(text)
@@ -158,7 +173,7 @@ class TestMealyConstruction:
 
 class TestAbo:
     def test_emits_once_when_both_seen(self):
-        program = abo_program()
+        program = parse_program(ABO_DOC)
         assert program(bv("10")) == bv("0")  # A first
         assert program(bv("01")) == bv("1")  # B completes the pair
         assert program(bv("11")) == bv("0")  # done; never again

@@ -152,3 +152,12 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(runs=0)
     assert SimConfig().ticks == 1000 and SimConfig().runs == 5
+    # None would draw the environment from OS entropy; True would draw as 1
+    # but pick seeded repairs as "True"
+    alpha = Alphabet(("A", "B"), ())
+    for seed in (None, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            SimConfig(seed=seed)
+        for ticks in (0, 10):
+            with pytest.raises(ValueError, match="seed must be an int"):
+                random_inputs(alpha, ticks, seed)
