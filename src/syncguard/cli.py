@@ -236,7 +236,9 @@ def _resolve_program(spec: str, automaton: SafetyAutomaton, ticks: int):
         _check_widths(outputs, len(alphabet.outputs), "output", path)
         return ScriptedProgram(outputs)
     if spec.startswith("synthetic:"):
-        fields = spec.split(":")[1:]
+        fields = spec[len("synthetic:"):].split(":")
+        if len(fields) > 2 or "" in fields:
+            raise ValueError(f"expected synthetic:WIDTH[:SEED], got {spec!r}")
         width = int(fields[0])
         seed = int(fields[1]) if len(fields) > 1 else 0
         return SyntheticProgram(alphabet, width, seed)
@@ -269,7 +271,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"{path}: trace has {len(env)} records, --ticks asks for {ticks}")
     else:
         raise ValueError(f"unknown environment spec {args.env!r}")
-    config = SimConfig(ticks=ticks, seed=args.seed, policy=canonical_policy(args.policy))
+    config = SimConfig(ticks=ticks, seed=args.seed, policy=args.policy)
     if env is not None:
         env = env[: config.ticks]
     program = _resolve_program(args.program, automaton, config.ticks)
@@ -321,9 +323,7 @@ def _cmd_bench(args) -> int:
     automaton = _resolve_enforceable(_load_automaton(args.automaton), args.auto_transform)
     if automaton is None:
         return 1
-    config = SimConfig(
-        ticks=args.ticks, runs=args.runs, seed=args.seed, policy=canonical_policy(args.policy)
-    )
+    config = SimConfig(ticks=args.ticks, runs=args.runs, seed=args.seed, policy=args.policy)
     program = _resolve_program(args.program, automaton, config.ticks)
     result = bench(automaton, program, config)
     print(result)

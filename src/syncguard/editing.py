@@ -131,9 +131,16 @@ def choose_lexicographic(candidates: Iterable[BitVector]) -> BitVector:
 
 
 def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVector:
-    """Stable pseudo-random pick: a pure function of the seed and the set."""
+    """Stable pseudo-random pick: a pure function of the seed and the set.
+
+    ``None`` is seed 0.  Any other seed must be an int and not a bool,
+    or ``ValueError`` is raised: hashed as text, ``True`` and ``1.0``
+    would pick differently from 1.
+    """
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ValueError(f"repair seed must be an int or None, got {seed!r}")
     ranked = sorted(candidates, key=attrgetter("bits"))
-    material = f"{0 if seed is None else seed}:" + ",".join(str(c) for c in ranked)
+    material = f"{seed or 0}:" + ",".join(str(c) for c in ranked)
     digest = hashlib.sha256(material.encode("ascii")).digest()
     return ranked[int.from_bytes(digest[:8], "big") % len(ranked)]
 
@@ -166,11 +173,14 @@ def build_edit_tables(
 
     The keys are each accepting location's safe inputs and, for each safe
     input, its safe outputs; a pick is a function of the set alone, so
-    locations with equal sets share one entry.  Every set is checked
-    first: an empty one means the automaton violates the enforceability
-    condition and raises :class:`NotEnforceableError`.  Then each distinct
-    set, in first-seen order, gets one :func:`select` call.  ``nearest``
-    depends on the observed event, so it has no table.
+    locations with equal sets share one entry.  A location with no safe
+    input is dead, and raises :class:`NotEnforceableError` before any
+    pick.  Then each distinct set, in first-seen order, gets one
+    :func:`select` call, which refuses an empty set with ``ValueError``.
+    Sets from :func:`compute_edit_sets` have no empty safe-output set
+    under a safe input: by the projection lemma, an input is safe exactly
+    when some output is.  ``nearest`` depends on the observed event, so
+    it has no table.
     """
     policy = canonical_policy(policy)
     if policy == NEAREST:
@@ -181,10 +191,5 @@ def build_edit_tables(
             raise NotEnforceableError(f"automaton not enforceable: location {q} is dead")
         distinct[candidates] = None
         for x in candidates:
-            outputs = sets.safe_outputs[(q, x)]
-            if not outputs:
-                raise NotEnforceableError(
-                    f"automaton not enforceable: no safe output at ({q}, {x})"
-                )
-            distinct[outputs] = None
+            distinct[sets.safe_outputs[(q, x)]] = None
     return {candidates: select(candidates, None, policy, seed) for candidates in distinct}

@@ -82,25 +82,22 @@ def check_constraints(
     above.  Each word carries the locations of the observed and of the
     released word, as numbers, each one lookup in
     :attr:`~syncguard.automata.SafetyAutomaton.table` from its parent's
-    (the released event must be the alphabet's instance at its code,
-    checked inline as :meth:`~syncguard.automata.SafetyAutomaton.walk`
-    does), so
-    every constraint is a lookup; a parent also records, per observed
-    input, the released input its first extending child got, against
-    which the later siblings are compared.  A released word that does not
-    extend its parent's by one event (only a custom ``enforce`` makes one)
-    is walked again from the initial location.  The runtime releases a
-    child, in the loop, by one ``tick``, after a ``restore`` of its
-    parent's snapshot unless the parent is the word just snapshotted (a
-    parent's first child, popped next, finds the runtime there already),
-    and is asked for a ``snapshot`` only of a word that gets children
-    (below ``max_len``); nothing else is read from it.  Its
-    program is one :class:`ConstantProgram` per event, built once per
-    call, which answers with the word's last observed output because the
-    runtime calls the program exactly once per tick.  Monotonicity is
-    checked against the parent alone: the first word whose released word
-    misses an ancestor's also misses its parent's, since the parent's
-    extends every ancestor's.
+    (the released event's code is read through
+    :meth:`~syncguard.bits.Alphabet.code`, which refuses an event not in
+    the alphabet), so every constraint is a lookup; a parent also
+    records, per observed input, the released input its first extending
+    child got, against which the later siblings are compared.  A released
+    word that does not extend its parent's by one event (only a custom
+    ``enforce`` makes one) is walked again from the initial location.
+    The runtime releases every child by a ``restore`` of its parent's
+    snapshot and one ``tick``, and is asked for a ``snapshot`` only of a
+    word that gets children (below ``max_len``); nothing else is read
+    from it.  Its program is one :class:`ConstantProgram` per event,
+    built once per call, which answers with the word's last observed
+    output because the runtime calls the program exactly once per tick.
+    Monotonicity is checked against the parent alone: the first word
+    whose released word misses an ancestor's also misses its parent's,
+    since the parent's extends every ancestor's.
 
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
@@ -127,7 +124,7 @@ def check_constraints(
         runtime = Enforcer(automaton, policy, seed)
         restore, tick, snapshot = runtime.restore, runtime.tick, runtime.snapshot
     children = [(e, ConstantProgram(alphabet, e.output)) for e in reversed(alphabet.events)]
-    table, events, code = automaton.table, alphabet.events, alphabet.code
+    table, code = automaton.table, alphabet.code
     trap = automaton.index[automaton.violating]
 
     results = {name: True for name in CONSTRAINTS}
@@ -143,7 +140,6 @@ def check_constraints(
     # input per observed input of its children, snapshot), None at the root
     pending = [((), automaton.index[automaton.initial], None, None)]
     words = 0
-    current = None  # the parent entry whose snapshot the runtime sits at
     while pending:
         observed, observed_at, program, parent = pending.pop()
         words += 1
@@ -153,20 +149,14 @@ def check_constraints(
         else:
             parent_released, parent_at, fixed_inputs, parent_snap = parent
             if enforce is None:
-                if parent is not current:
-                    restore(parent_snap)
+                restore(parent_snap)
                 released = parent_released + (tick(observed[-1].input, program).released,)
             else:
                 released = enforce(observed)
             monotone = released[: len(parent_released)] == parent_released
             extends = monotone and len(released) == len(parent_released) + 1
         if extends:
-            last = released[-1]
-            try:
-                known = events[last.code] is last
-            except (AttributeError, IndexError, TypeError):
-                known = False
-            released_at = table[parent_at][last.code if known else code(last)]
+            released_at = table[parent_at][code(released[-1])]
         else:
             released_at = automaton.walk(released)
         if released_at == trap:
@@ -191,8 +181,5 @@ def check_constraints(
             row = table[observed_at]
             for event, program in children:
                 pending.append((observed + (event,), row[event.code], program, here))
-            current = here
-        else:
-            current = None
 
     return ConstraintReport(results, counterexamples, words)

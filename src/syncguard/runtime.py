@@ -142,11 +142,11 @@ class Enforcer:
         ValueError; a bad input does so before the program is called.  If
         anything raises, the enforcer's state is unchanged.
 
-        A vector in its safe set is kept, and one is valid, so a tick with
-        no edit releases the observed event: one lookup at the pair's code
-        in :attr:`~syncguard.bits.Alphabet.events`.  Only an edited tick
-        checks the observed vector it repairs; once both vectors are known
-        valid, the observed event is the same lookup at their code.
+        A vector in its safe set is kept, and one is valid, so only an
+        edited tick checks the observed vector it repairs.  Once both
+        vectors are known valid, the observed and the released event are
+        each one lookup at their pair's code in
+        :attr:`~syncguard.bits.Alphabet.events`.
         """
         q = self.location
         sets = self.edit_sets
@@ -173,9 +173,7 @@ class Enforcer:
         location = automaton.locations[automaton.table[automaton.index[q]][released.code]]
         record = TickRecord(
             self.ticks,
-            released
-            if input_kept and output_kept
-            else events[(inputs.code << out_width) | outputs.code],
+            events[(inputs.code << out_width) | outputs.code],
             released,
             not input_kept,
             not output_kept,

@@ -28,30 +28,35 @@ from typing import Optional, Sequence
 
 from .automata import SafetyAutomaton
 from .bits import Alphabet, BitVector
-from .editing import NEAREST
+from .editing import NEAREST, canonical_policy
 from .programs import TickFunction
 from .runtime import Enforcer, TickRecord
 
 
-def _check_seed(seed) -> None:
-    # None would seed from OS entropy, and True draws as 1 but picks repairs as "True"
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an int, got {seed!r}")
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
 class SimConfig:
+    """One run's settings; a policy alias is stored under its canonical name."""
+
     ticks: int = 1000
     runs: int = 5
     seed: int = 0
     policy: str = NEAREST
 
     def __post_init__(self):
+        _check_int("ticks", self.ticks)
+        _check_int("runs", self.runs)
         if self.ticks < 0:
             raise ValueError("ticks must be non-negative")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        _check_seed(self.seed)
+        # None would seed from OS entropy, and True draws as 1
+        _check_int("seed", self.seed)
+        self.policy = canonical_policy(self.policy)
 
 
 DRAWS_PER_CALL = 1 << 16  # 32-bit words random_inputs takes per getrandbits call
@@ -65,7 +70,7 @@ def random_inputs(alphabet: Alphabet, ticks: int, seed: int) -> list[BitVector]:
     is all the modulus (at most 2**16, a power of two) keeps.  A seed
     that is not an int raises ``ValueError``.
     """
-    _check_seed(seed)
+    _check_int("seed", seed)
     rng = random.Random(seed)
     choices = alphabet.input_events
     mask = len(choices) - 1

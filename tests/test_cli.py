@@ -308,6 +308,15 @@ class TestSimulate:
         )
         assert captured.err == "ticks=6 input_edits=4 output_edits=0\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("spec", ["synthetic:8:1:junk", "synthetic:8:", "synthetic:"])
+    def test_malformed_synthetic_spec_exits_two(self, s1_file, capsys, command, spec):
+        capsys.readouterr()
+        assert main([command, s1_file, spec, "--ticks", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expected synthetic:WIDTH[:SEED], got {spec!r}\n"
+
     def test_unknown_environment_spec_exits_two(self, s1_file, capsys):
         capsys.readouterr()
         assert main(["simulate", s1_file, "const:0", "--env", "bogus"]) == 2

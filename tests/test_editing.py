@@ -12,6 +12,7 @@ from syncguard import (
     POLICIES,
     SEEDED_RANDOM,
     BitVector,
+    EditSets,
     Enforcer,
     Event,
     NotEnforceableError,
@@ -25,6 +26,7 @@ from syncguard import (
     project_inputs,
 )
 from syncguard.editing import choose_lexicographic, choose_nearest, choose_seeded, select
+from syncguard.oracle import oracle_step
 
 from .strategies import safety_automata
 
@@ -171,6 +173,16 @@ class TestEditTables:
         with pytest.raises(ValueError, match="observed-dependent"):
             build_edit_tables(sets, NEAREST)
 
+    @pytest.mark.parametrize("policy", (LEXICOGRAPHIC, SEEDED_RANDOM))
+    def test_select_refuses_an_empty_safe_output_set(self, policy):
+        # compute_edit_sets makes none under a safe input, so built by hand
+        sets = compute_edit_sets(mutual_exclusion())
+        outputs = dict(sets.safe_outputs)
+        outputs[("q0", bv("00"))] = frozenset()
+        with pytest.raises(ValueError, match="the safe set is empty") as raised:
+            build_edit_tables(EditSets(sets.safe_inputs, outputs), policy, 3)
+        assert not isinstance(raised.value, NotEnforceableError)
+
 
 class TestRepair:
     def test_nearest_prefers_agreement_on_earlier_variables(self):
@@ -277,6 +289,27 @@ class TestRepair:
 def test_select_refuses_an_empty_set(policy):
     with pytest.raises(ValueError, match="the safe set is empty"):
         select(frozenset(), bv("01"), policy, 3)
+
+
+@pytest.mark.parametrize("seed", (True, 1.0, "1"))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_repair_seed_is_an_int_or_none(policy, seed):
+    a = mutual_exclusion()
+    observed = ev("11/1")  # both halves repaired at the initial location
+    if policy == SEEDED_RANDOM:
+        # each would pick differently from the int it equals
+        with pytest.raises(ValueError, match="repair seed must be an int or None"):
+            Enforcer(a, policy, seed)
+        with pytest.raises(ValueError, match="repair seed must be an int or None"):
+            build_edit_tables(compute_edit_sets(a), policy, seed)
+        with pytest.raises(ValueError, match="repair seed must be an int or None"):
+            oracle_step(a, (), observed, policy, seed)
+        assert oracle_step(a, (), observed, policy, 1) is ev("00/1")
+        assert Enforcer(a, policy, None).tables == Enforcer(a, policy, 0).tables
+    else:
+        # only seeded-random reads the seed; lex's Enforcer builds its tables
+        assert Enforcer(a, policy, seed).tables == Enforcer(a, policy).tables
+        assert oracle_step(a, (), observed, policy, seed) is oracle_step(a, (), observed, policy)
 
 
 def test_policy_aliases():

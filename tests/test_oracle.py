@@ -141,8 +141,8 @@ class TestCheckConstraints:
         monkeypatch.setattr(Enforcer, "tick", recording_tick)
         report = check_constraints(a, NEAREST, max_len=3)
         assert report.passed and report.words_checked == 1 + size + size**2 + size**3
-        # every word but the root is ticked; a parent's first child needs no restore
-        assert len(restores) == size**3 - 1
+        # every word but the root is ticked, each after a restore of its parent's snapshot
+        assert len(restores) == size + size**2 + size**3
         assert ticks == expected
 
     def test_enforcer_freed_on_return_without_the_cyclic_collector(self):

@@ -3,6 +3,8 @@ import io
 import pytest
 
 from syncguard import (
+    LEXICOGRAPHIC,
+    SEEDED_RANDOM,
     Alphabet,
     BitVector,
     SimConfig,
@@ -152,8 +154,16 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(runs=0)
     assert SimConfig().ticks == 1000 and SimConfig().runs == 5
+    # a float would fail only once a run starts; True would run one tick
+    for name in ("ticks", "runs"):
+        for value in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                SimConfig(**{name: value})
+    with pytest.raises(ValueError, match="unknown repair policy 'bogus'"):
+        SimConfig(policy="bogus")
+    assert SimConfig(policy="lex").policy == LEXICOGRAPHIC
+    assert SimConfig(policy="random").policy == SEEDED_RANDOM
     # None would draw the environment from OS entropy; True would draw as 1
-    # but pick seeded repairs as "True"
     alpha = Alphabet(("A", "B"), ())
     for seed in (None, True, 1.0, "1"):
         with pytest.raises(ValueError, match="seed must be an int"):
