@@ -6,7 +6,8 @@ prefix-closed words that never visit the trap.  User-supplied automata may
 be nondeterministic, incomplete, or carry unreachable locations; they are
 parsed into a :class:`RawAutomaton` and brought into shape by
 :func:`normalize` (subset construction + completion + pruning + canonical
-renaming).
+renaming).  A :class:`SafetyAutomaton` is already deterministic and
+complete, so :func:`normalize` only prunes and renames it.
 
 Document format (line-oriented, UTF-8, ``#`` starts a comment)::
 
@@ -210,10 +211,12 @@ class SafetyAutomaton:
         fill(self, "table", table)
         fill(self, "index", index)
         # later a weak reference to the safe sets of this automaton's live
-        # enforcers (see syncguard.runtime); filled here so every instance
-        # fills its attributes in one order (see ``delta``), and not a
-        # field, so equality, hashing, repr and pickling ignore it
+        # enforcers (see syncguard.runtime), and ``delta`` once read; both
+        # filled here so every instance fills its attributes in one order
+        # (see ``delta``), and not fields, so equality, hashing, repr and
+        # pickling ignore them
         fill(self, "_edit_sets", None)
+        fill(self, "_delta", None)
 
     def __reduce__(self):
         # the read-only mappings do not pickle; the table rebuilds them
@@ -228,11 +231,9 @@ class SafetyAutomaton:
 
     @property
     def delta(self) -> Mapping[tuple[str, Event], str]:
-        try:
+        if self._delta is not None:
             return self._delta
-        except AttributeError:
-            pass
-        keys = _delta_keys(self.alphabet, self.locations)
+        keys = _delta_keys(self.alphabet.events, self.locations)
         targets = map(self.locations.__getitem__, chain.from_iterable(self.table))
         delta = MappingProxyType(dict(zip(keys, targets)))
         # set past the frozen __setattr__, not written through the instance
@@ -279,10 +280,13 @@ class SafetyAutomaton:
 
 
 @lru_cache(maxsize=256)
-def _delta_keys(alphabet: Alphabet, locations: tuple[str, ...]) -> tuple[tuple[str, Event], ...]:
-    """``delta``'s keys in order, shared by the automata of one alphabet and
-    location list (all normalized automata of one size share the list)."""
-    return tuple(product(locations, alphabet.events))
+def _delta_keys(
+    events: tuple[Event, ...], locations: tuple[str, ...]
+) -> tuple[tuple[str, Event], ...]:
+    """``delta``'s keys in order, shared by the automata of one event
+    layout and location list (all normalized automata of one size share
+    the list)."""
+    return tuple(product(locations, events))
 
 
 def _validated_table(
@@ -442,34 +446,36 @@ def _single_state(headers: dict[str, str], key: str, states: tuple[str, ...]) ->
 def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomaton:
     """Determinize, complete, prune, and canonically rename an automaton.
 
-    Subset construction: a macro-state is accepting iff it contains at least
-    one non-violating location; every non-accepting macro-state is collapsed
-    into the single trap, and missing transitions are directed there.
-    Locations unreachable from the initial one disappear (the trap is always
-    retained as the completion target).  Accepting locations are named
-    ``q0, q1, ...`` in breadth-first discovery order, visiting events in
-    ``alphabet.events`` order; the trap is named last.  The table is built
-    directly, one row per location in name order, so two normalized
-    automata are equal iff their tables are, and ``delta`` lists location
-    by location in name order.  Raises :class:`EmptyPropertyError` if the
-    initial state is violating (the property would reject the empty word).
+    Locations unreachable from the initial one disappear (the trap is
+    always retained as the completion target).  Accepting locations are
+    named ``q0, q1, ...`` in breadth-first discovery order, visiting
+    events in ``alphabet.events`` order; the trap is named last.  The
+    table is built directly, one row per location in name order, so two
+    normalized automata are equal iff their tables are, and ``delta``
+    lists location by location in name order.  Raises
+    :class:`EmptyPropertyError` if the initial state is violating (the
+    property would reject the empty word).
 
-    A set of raw states is an int bitmask (bit i for ``states[i]``, the
-    violating state included, so {s} and {s, violating} are distinct
-    macro-states), and each raw state's successors are a row of masks,
-    one per event code; a macro-state's row is the OR of its members'.
-    A :class:`RawAutomaton`'s rows are read as they are, checked when the
-    automaton was built; a :class:`SafetyAutomaton`'s table becomes rows
-    of one-bit masks.
+    A :class:`SafetyAutomaton` is already deterministic and complete, so
+    it is only renamed: :func:`_renamed` numbers its table's locations in
+    one breadth-first pass.  A :class:`RawAutomaton` (a parsed document)
+    goes through subset construction: a macro-state is accepting iff it
+    contains at least one non-violating location; every non-accepting
+    macro-state is collapsed into the single trap, and missing
+    transitions are directed there.  A set of raw states is an int
+    bitmask (bit i for ``states[i]``, the violating state included, so
+    {s} and {s, violating} are distinct macro-states), and each raw
+    state's successors are a row of masks, one per event code, read as
+    they are, checked when the automaton was built; a macro-state's row
+    is the OR of its members'.
     """
     if automaton.initial == automaton.violating:
         raise EmptyPropertyError("empty property: the initial state is violating")
-    alphabet = automaton.alphabet
     if isinstance(automaton, SafetyAutomaton):
-        states = automaton.locations
-        rows = [[1 << target for target in row] for row in automaton.table]
-    else:
-        states, rows = automaton.states, automaton.rows
+        index = automaton.index
+        table = _renamed(automaton.table, index[automaton.initial], index[automaton.violating])
+        return _canonical(automaton.alphabet, table)
+    states, rows = automaton.states, automaton.rows
     start = 1 << states.index(automaton.initial)
     violating = 1 << states.index(automaton.violating)
 
@@ -492,8 +498,36 @@ def normalize(automaton: Union[RawAutomaton, SafetyAutomaton]) -> SafetyAutomato
 
     trap = number[0] = number[violating] = len(order)
     table = tuple(tuple(map(number.__getitem__, row)) for row in macro_rows)
-    table += ((trap,) * len(alphabet.events),)
-    locations, index = _canonical_locations(trap)
+    return _canonical(automaton.alphabet, table + ((trap,) * len(automaton.alphabet.events),))
+
+
+def _renamed(
+    rows: Sequence[Sequence[int]], initial: int, violating: int
+) -> tuple[tuple[int, ...], ...]:
+    """The canonical table of a deterministic, complete table.
+
+    The locations reachable from ``initial`` without entering
+    ``violating`` are numbered in breadth-first discovery order (rows in
+    queue order, each row's targets in event-code order) and the trap
+    last, with a row of its own number.  ``rows[violating]`` is never
+    read, so a caller may leave it out.
+    """
+    number = {violating: -1, initial: 0}
+    order = [initial]
+    for q in order:  # grows while it is read: a breadth-first queue
+        for target in rows[q]:
+            if target not in number:
+                number[target] = len(order)
+                order.append(target)
+    trap = number[violating] = len(order)
+    renumber = number.__getitem__
+    table = tuple([tuple(map(renumber, rows[q])) for q in order])
+    return table + ((trap,) * len(rows[initial]),)
+
+
+def _canonical(alphabet: Alphabet, table: tuple[tuple[int, ...], ...]) -> SafetyAutomaton:
+    """The normalized automaton of a canonical table (its trap row last)."""
+    locations, index = _canonical_locations(len(table) - 1)
     return SafetyAutomaton._trusted(alphabet, locations, "q0", VIOLATING_NAME, table, index)
 
 

@@ -58,6 +58,15 @@ def canonical_policy(name: str) -> str:
         raise ValueError(f"unknown repair policy {name!r}; choose from {POLICIES}") from None
 
 
+def check_seed(seed: Optional[int]) -> None:
+    """Refuse a repair seed that is neither ``None`` nor an int, or is a
+    bool, with ``ValueError``: the seeded-random pick hashes the seed as
+    text, so ``True`` and ``1.0`` would pick differently from 1.  Every
+    entry point that takes a seed checks it, under every policy."""
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ValueError(f"repair seed must be an int or None, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class EditSets:
     """Safe-event sets per location (inputs) and per location+input (outputs)."""
@@ -133,12 +142,9 @@ def choose_lexicographic(candidates: Iterable[BitVector]) -> BitVector:
 def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVector:
     """Stable pseudo-random pick: a pure function of the seed and the set.
 
-    ``None`` is seed 0.  Any other seed must be an int and not a bool,
-    or ``ValueError`` is raised: hashed as text, ``True`` and ``1.0``
-    would pick differently from 1.
+    ``None`` is seed 0; any other seed is checked by :func:`check_seed`.
     """
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ValueError(f"repair seed must be an int or None, got {seed!r}")
+    check_seed(seed)
     ranked = sorted(candidates, key=attrgetter("bits"))
     material = f"{seed or 0}:" + ",".join(str(c) for c in ranked)
     digest = hashlib.sha256(material.encode("ascii")).digest()

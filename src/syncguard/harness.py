@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .automata import SafetyAutomaton
 from .bits import Word
-from .editing import NEAREST, canonical_policy
+from .editing import NEAREST, canonical_policy, check_seed
 from .programs import ConstantProgram
 from .runtime import Enforcer
 
@@ -101,7 +101,8 @@ def check_constraints(
 
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
-    observed words.  Raises ``ValueError`` for a negative ``max_len``, when
+    observed words.  Raises ``ValueError`` for a malformed seed (see
+    :func:`~syncguard.editing.check_seed`), a negative ``max_len``, when
     the enumeration would exceed :data:`WORD_BUDGET` words (counted level
     by level, stopping once past it), for a ``max_len`` above
     :data:`MAX_DEPTH` (the walk's cost grows with the square of the
@@ -110,6 +111,7 @@ def check_constraints(
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     policy = canonical_policy(policy)
+    check_seed(seed)
     alphabet = automaton.alphabet
     total = level = 1
     for _ in range(max_len):

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .automata import SafetyAutomaton
 from .bits import BitVector, Event, Word
-from .editing import NEAREST, canonical_policy, select
+from .editing import NEAREST, canonical_policy, check_seed, select
 
 
 def oracle_step(
@@ -45,14 +45,16 @@ def oracle_step(
     tracked location); the output is kept iff the extension itself is
     accepted.  Repairs use the same selection policy as the runtime,
     applied to sets recomputed here from the automaton alone.  ``policy``
-    may be an alias (``lex``, ``random``); an unknown name, or an event
-    that is not in the alphabet, raises ``ValueError``.  So does any
+    may be an alias (``lex``, ``random``); an unknown name, a seed
+    :func:`~syncguard.editing.check_seed` refuses, or an event that is
+    not in the alphabet raises ``ValueError``.  So does any
     event after a prefix that reaches a dead location (one whose every
     event violates, which only a non-enforceable automaton has): no input
     is safe there, and :func:`~syncguard.editing.select` refuses an empty
     set under every policy.
     """
     policy = canonical_policy(policy)
+    check_seed(seed)
     alphabet = automaton.alphabet
     trap = automaton.index[automaton.violating]
     row = automaton.table[automaton.walk(released)]

@@ -23,6 +23,7 @@ from .editing import (
     EditSets,
     build_edit_tables,
     canonical_policy,
+    check_seed,
     choose_nearest,
     compute_edit_sets,
 )
@@ -72,8 +73,8 @@ _set_t, _set_observed, _set_released, _set_input_edited, _set_output_edited, _se
 class Enforcer:
     """Stateful enforcer for one enforceable safety automaton.
 
-    Construction checks the policy name (ValueError before anything is
-    built), takes the safe-event sets (through the input projection) and,
+    Construction checks the policy name and the repair seed (ValueError
+    before anything is built), takes the safe-event sets (through the input projection) and,
     for observed-independent policies, builds the repair table (one pick
     per distinct safe set, keyed by the set); it fails with the
     enforceability report if the automaton has dead locations.  The
@@ -96,6 +97,7 @@ class Enforcer:
         seed: Optional[int] = None,
     ):
         policy = canonical_policy(policy)
+        check_seed(seed)
         self.automaton = automaton
         self.edit_sets = _shared_edit_sets(automaton)
         self.tables = (

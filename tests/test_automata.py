@@ -420,6 +420,29 @@ class TestNormalize:
         for a in exhaustive_family + random_family:
             self._inserted_in_order(normalize(a))
 
+    def test_renaming_agrees_with_subset_construction(self):
+        # normalize renames a SafetyAutomaton and determinizes a RawAutomaton;
+        # over every member of a family with three accepting locations, and
+        # a copy of each with its locations renamed, listed in a random
+        # order and joined by an unreachable one, both give the member
+        family = all_normalized_automata(Alphabet(("A",), ()), max_accepting=3)
+        assert len(family) == 865
+        rng = random.Random(23)
+        for a in family:
+            names = [f"p{i}" for i in range(len(a.locations) + 1)]
+            rng.shuffle(names)
+            rename = dict(zip(a.locations + ("unreachable",), names))
+            delta = {(rename[q], e): rename[t] for (q, e), t in a.delta.items()}
+            for e in a.alphabet.events:
+                delta[(rename["unreachable"], e)] = rng.choice(names)
+            copy = SafetyAutomaton(
+                a.alphabet, rng.sample(names, len(names)), rename[a.initial], rename[a.violating], delta
+            )
+            for b in (a, copy):
+                triples = [(q, e, t) for (q, e), t in b.delta.items()]
+                raw = RawAutomaton(b.alphabet, b.locations, b.initial, b.violating, triples)
+                assert normalize(b) == normalize(raw) == a
+
     @settings(max_examples=60, deadline=None)
     @given(raw=raw_automata())
     def test_normalization_preserves_language(self, raw):

@@ -20,13 +20,15 @@ from syncguard import (
     at_most_one_tick,
     build_edit_tables,
     canonical_policy,
+    check_constraints,
     compute_edit_sets,
     editing,
     mutual_exclusion,
+    normalize,
     project_inputs,
 )
 from syncguard.editing import choose_lexicographic, choose_nearest, choose_seeded, select
-from syncguard.oracle import oracle_step
+from syncguard.oracle import oracle_enforce, oracle_step
 
 from .strategies import safety_automata
 
@@ -296,20 +298,39 @@ def test_select_refuses_an_empty_set(policy):
 def test_a_repair_seed_is_an_int_or_none(policy, seed):
     a = mutual_exclusion()
     observed = ev("11/1")  # both halves repaired at the initial location
+    # refused under every policy, not only where the seeded-random pick
+    # reads it: each would pick differently from the int it equals
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        Enforcer(a, policy, seed)
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        oracle_step(a, (), observed, policy, seed)
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        check_constraints(a, policy, 1, seed)
     if policy == SEEDED_RANDOM:
-        # each would pick differently from the int it equals
-        with pytest.raises(ValueError, match="repair seed must be an int or None"):
-            Enforcer(a, policy, seed)
         with pytest.raises(ValueError, match="repair seed must be an int or None"):
             build_edit_tables(compute_edit_sets(a), policy, seed)
-        with pytest.raises(ValueError, match="repair seed must be an int or None"):
-            oracle_step(a, (), observed, policy, seed)
         assert oracle_step(a, (), observed, policy, 1) is ev("00/1")
         assert Enforcer(a, policy, None).tables == Enforcer(a, policy, 0).tables
-    else:
-        # only seeded-random reads the seed; lex's Enforcer builds its tables
-        assert Enforcer(a, policy, seed).tables == Enforcer(a, policy).tables
-        assert oracle_step(a, (), observed, policy, seed) is oracle_step(a, (), observed, policy)
+
+
+def test_a_malformed_seed_is_refused_before_any_set_is_built():
+    a = normalize(mutual_exclusion())  # a fresh object: no enforcer has seen it
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        Enforcer(a, "lex", "junk")
+    assert a._edit_sets is None
+
+
+def test_check_constraints_refuses_a_malformed_seed_no_pick_reads():
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        check_constraints(mutual_exclusion(), "nearest", 2, 1.5)
+
+
+def test_oracle_enforce_refuses_a_malformed_seed_on_a_word_it_keeps():
+    a = mutual_exclusion()
+    kept = (ev("00/0"), ev("01/0"))
+    assert oracle_enforce(a, kept, "random", 1) == kept
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        oracle_enforce(a, kept, "random", True)
 
 
 def test_policy_aliases():
