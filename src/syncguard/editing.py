@@ -54,7 +54,7 @@ _POLICY_ALIASES = {
 def canonical_policy(name: str) -> str:
     try:
         return _POLICY_ALIASES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: unhashable, so no policy name
         raise ValueError(f"unknown repair policy {name!r}; choose from {POLICIES}") from None
 
 
@@ -159,17 +159,20 @@ def select(
 ) -> BitVector:
     """The policy's pick from a non-empty set; only ``nearest`` reads ``observed``.
 
-    An empty set raises ``ValueError`` under every policy.
+    ``policy`` may be an alias (``lex``, ``random``); a canonical name is
+    used as is, so callers that resolved it pay no second lookup.  An
+    empty set raises ``ValueError`` under every policy, and so does an
+    unknown policy name.
     """
     if not candidates:
         raise ValueError("no candidate to pick from: the safe set is empty")
+    if policy not in POLICIES:
+        policy = canonical_policy(policy)
     if policy == NEAREST:
         return choose_nearest(candidates, observed)
     if policy == LEXICOGRAPHIC:
         return choose_lexicographic(candidates)
-    if policy == SEEDED_RANDOM:
-        return choose_seeded(candidates, seed)
-    raise ValueError(f"unknown repair policy {policy!r}")
+    return choose_seeded(candidates, seed)
 
 
 def build_edit_tables(

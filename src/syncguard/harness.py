@@ -20,6 +20,7 @@ from .bits import Word
 from .editing import NEAREST, canonical_policy, check_seed
 from .programs import ConstantProgram
 from .runtime import Enforcer
+from .sim import _check_int
 
 CONSTRAINTS = (
     "soundness",
@@ -102,12 +103,14 @@ def check_constraints(
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
     observed words.  Raises ``ValueError`` for a malformed seed (see
-    :func:`~syncguard.editing.check_seed`), a negative ``max_len``, when
-    the enumeration would exceed :data:`WORD_BUDGET` words (counted level
-    by level, stopping once past it), for a ``max_len`` above
-    :data:`MAX_DEPTH` (the walk's cost grows with the square of the
-    depth), or when a released event is not in the alphabet.
+    :func:`~syncguard.editing.check_seed`), a ``max_len`` that is not an
+    int (a bool is not one) or is negative, when the enumeration would
+    exceed :data:`WORD_BUDGET` words (counted level by level, stopping
+    once past it), for a ``max_len`` above :data:`MAX_DEPTH` (the walk's
+    cost grows with the square of the depth), or when a released event is
+    not in the alphabet.
     """
+    _check_int("max_len", max_len)
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     policy = canonical_policy(policy)

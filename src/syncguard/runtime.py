@@ -34,6 +34,13 @@ from .programs import ScriptedProgram, TickFunction
 class TickRecord:
     """What one enforcement step observed and released.
 
+    Four fields decide a record: the tick index, the observed and the
+    released event, and the location after the tick.  A side is edited
+    exactly when its released vector differs from the observed one (an
+    acceptable vector is never edited), so ``input_edited`` and
+    ``output_edited`` are read off the two events, not stored: each
+    vector value has one instance, so the test is one identity check.
+
     Slotted, so a record has no ``__dict__``: a run keeps one per tick.
     By hand, as ``slots=True`` makes a non-field assignment raise
     ``TypeError`` on CPython 3.10/3.11; ``__reduce__`` rebuilds copies
@@ -44,28 +51,32 @@ class TickRecord:
     and a run builds one record per tick.
     """
 
-    __slots__ = ("t", "observed", "released", "input_edited", "output_edited", "state_after")
+    __slots__ = ("t", "observed", "released", "state_after")
 
     t: int
     observed: Event
     released: Event
-    input_edited: bool
-    output_edited: bool
     state_after: str
 
-    def __init__(self, t, observed, released, input_edited, output_edited, state_after):
+    def __init__(self, t, observed, released, state_after):
         _set_t(self, t)
         _set_observed(self, observed)
         _set_released(self, released)
-        _set_input_edited(self, input_edited)
-        _set_output_edited(self, output_edited)
         _set_state_after(self, state_after)
 
     def __reduce__(self):
         return (TickRecord, tuple(getattr(self, name) for name in self.__slots__))
 
+    @property
+    def input_edited(self) -> bool:
+        return self.observed.input is not self.released.input
 
-_set_t, _set_observed, _set_released, _set_input_edited, _set_output_edited, _set_state_after = (
+    @property
+    def output_edited(self) -> bool:
+        return self.observed.output is not self.released.output
+
+
+_set_t, _set_observed, _set_released, _set_state_after = (
     getattr(TickRecord, name).__set__ for name in TickRecord.__slots__
 )
 
@@ -148,7 +159,9 @@ class Enforcer:
         edited tick checks the observed vector it repairs.  Once both
         vectors are known valid, the observed and the released event are
         each one lookup at their pair's code in
-        :attr:`~syncguard.bits.Alphabet.events`.
+        :attr:`~syncguard.bits.Alphabet.events`.  The record stores the
+        two events; a side's edit flag is read off them, as a repair
+        never picks the observed vector (it is not in the safe set).
         """
         q = self.location
         sets = self.edit_sets
@@ -174,12 +187,7 @@ class Enforcer:
         released = events[(x.code << out_width) | y.code]
         location = automaton.locations[automaton.table[automaton.index[q]][released.code]]
         record = TickRecord(
-            self.ticks,
-            events[(inputs.code << out_width) | outputs.code],
-            released,
-            not input_kept,
-            not output_kept,
-            location,
+            self.ticks, events[(inputs.code << out_width) | outputs.code], released, location
         )
         self.location = location
         self.ticks += 1
@@ -239,9 +247,12 @@ def enforce_word(
     The observed outputs play the program: a scripted stand-in returns
     them tick by tick, so the result is the enforcement function applied
     to the word.  Passing an existing :class:`Enforcer` resets it first
-    (its policy wins over the arguments).
+    (its policy wins over the arguments, which are still checked: an
+    unknown policy or a malformed seed raises ``ValueError`` first).
     """
     if isinstance(enforcer_or_automaton, Enforcer):
+        canonical_policy(policy)
+        check_seed(seed)
         enforcer = enforcer_or_automaton
         enforcer.reset()
     else:

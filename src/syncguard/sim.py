@@ -34,6 +34,7 @@ from .runtime import Enforcer, TickRecord
 
 
 def _check_int(name: str, value) -> None:
+    """Refuse anything but an int, a bool included, with ``ValueError``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {value!r}")
 
@@ -67,9 +68,11 @@ def random_inputs(alphabet: Alphabet, ticks: int, seed: int) -> list[BitVector]:
 
     Each chunk of ticks is one wide draw, read as 16-bit halves: the low
     half of word i is the i-th ``getrandbits(32)``'s low 16 bits, which
-    is all the modulus (at most 2**16, a power of two) keeps.  A seed
-    that is not an int raises ``ValueError``.
+    is all the modulus (at most 2**16, a power of two) keeps.  A tick
+    count or a seed that is not an int (a bool is not one) raises
+    ``ValueError``; a tick count of 0 or less gives no inputs.
     """
+    _check_int("ticks", ticks)
     _check_int("seed", seed)
     rng = random.Random(seed)
     choices = alphabet.input_events

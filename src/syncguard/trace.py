@@ -1,12 +1,16 @@
 """Line-delimited trace files: one record per tick.
 
 Fields are tab-separated: tick index, observed event, released event,
-input-edited flag, output-edited flag, location after the tick.  The
-tick index is a non-negative decimal integer and each flag is ``0`` or
-``1``; :func:`parse_record` rejects anything else with ``ValueError``.  Events
-render as ``inputs/outputs`` bit strings in declaration order.  Lines
-starting with ``#`` are comments.  All content is deterministic, so two
-runs with identical configuration produce byte-identical files.
+input-edited flag, output-edited flag, location after the tick.  Events
+render as ``inputs/outputs`` bit strings in declaration order.  The flags
+are the events' own: a side's flag is ``1`` exactly when its released
+bits differ from its observed bits (see :class:`TickRecord`).  The tick
+index is a non-negative decimal integer and each flag is ``0`` or ``1``;
+:func:`parse_record` rejects anything else with ``ValueError``, and so a
+line whose two events differ in shape or whose flags disagree with its
+events.  Lines starting with ``#`` are comments.  All content is
+deterministic, so two runs with identical configuration produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,14 +44,22 @@ def parse_record(line: str) -> TickRecord:
     for flag in (input_edited, output_edited):
         if flag not in ("0", "1"):
             raise ValueError(f"edit flag must be 0 or 1, got {flag!r}")
-    return TickRecord(
-        t=int(t),
-        observed=Event.from_text(observed),
-        released=Event.from_text(released),
-        input_edited=input_edited == "1",
-        output_edited=output_edited == "1",
-        state_after=state,
-    )
+    before, after = Event.from_text(observed), Event.from_text(released)
+    if len(before.input) != len(after.input) or len(before.output) != len(after.output):
+        raise ValueError(
+            f"observed event {observed!r} and released event {released!r} differ in shape"
+        )
+    record = TickRecord(int(t), before, after, state)
+    for side, flag, edited in (
+        ("input", input_edited, record.input_edited),
+        ("output", output_edited, record.output_edited),
+    ):
+        if flag != str(int(edited)):
+            raise ValueError(
+                f"{side}-edited flag {flag!r} disagrees with observed event {observed!r} "
+                f"and released event {released!r}"
+            )
+    return record
 
 
 def write_trace(

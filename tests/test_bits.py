@@ -237,7 +237,7 @@ def test_copies_are_the_alphabets_own_instances(clone):
     event = alpha.events[5]
     assert clone(event.input) is event.input and clone(event.output) is event.output
     assert clone(event) is event
-    record = TickRecord(3, alpha.events[7], event, True, False, "q1")
+    record = TickRecord(3, alpha.events[7], event, "q1")
     copied = clone(record)
     assert copied == record
     assert copied.observed is alpha.events[7] and copied.released is event

@@ -274,6 +274,29 @@ class TestSimulate:
         assert "edit flag must be 0 or 1, got '7'" in captured.err
 
     @pytest.mark.parametrize("role", ["program", "env"])
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("00/0\t10/0\t0\t0", "input-edited flag '0' disagrees"),
+            ("00/0\t0/00\t1\t1", "differ in shape"),
+        ],
+        ids=["flag", "shape"],
+    )
+    def test_trace_line_contradicting_itself_exits_two(
+        self, s1_file, tmp_path, capsys, role, record, message
+    ):
+        path = tmp_path / "contradicting.txt"
+        path.write_text(f"0\t{record}\tq0\n")
+        program = f"scripted:{path}" if role == "program" else "const:1"
+        env = f"trace:{path}" if role == "env" else "random"
+        capsys.readouterr()
+        argv = ["simulate", s1_file, program, "--env", env, "--ticks", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("role", ["program", "env"])
     def test_trace_field_wider_than_any_interface_exits_two(self, s1_file, tmp_path, capsys, role):
         path = tmp_path / "wide17.txt"
         path.write_text(f"0\t{'0' * 17}/0\t00/0\t0\t0\tq0\n")
@@ -397,7 +420,7 @@ class TestVerify:
         assert out.read_text() == (
             "# counterexample for soundness\n"
             "0\t00/0\t00/0\t0\t0\tq0\n"
-            "1\t01/1\t01/1\t0\t1\tq0\n"
+            "1\t01/1\t01/1\t0\t0\tq0\n"
         )
         # the replay's records: one tick per observed event, each with its own output
         enforcer = Enforcer(mutual_exclusion())

@@ -339,3 +339,20 @@ def test_policy_aliases():
     assert canonical_policy("nearest") == NEAREST
     with pytest.raises(ValueError):
         canonical_policy("closest")
+
+
+def test_an_unhashable_policy_name_is_refused_with_value_error():
+    a = mutual_exclusion()
+    with pytest.raises(ValueError, match=r"unknown repair policy \['lex'\]"):
+        Enforcer(a, ["lex"])
+    with pytest.raises(ValueError, match=r"unknown repair policy \['lex'\]"):
+        oracle_step(a, (), ev("11/1"), ["lex"])
+
+
+def test_select_accepts_the_policy_aliases():
+    safe = set_of(["00", "01", "10"])
+    for alias, policy in (("lex", LEXICOGRAPHIC), ("random", SEEDED_RANDOM)):
+        assert select(safe, None, alias, 4) is select(safe, None, policy, 4)
+    assert select(safe, bv("11"), "lex") is bv("00")
+    with pytest.raises(ValueError, match="unknown repair policy 'closest'"):
+        select(safe, bv("11"), "closest")

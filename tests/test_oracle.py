@@ -279,6 +279,12 @@ class TestCheckConstraints:
         with pytest.raises(ValueError, match="max_len"):
             check_constraints(mutual_exclusion(), NEAREST, max_len=-1)
 
+    @pytest.mark.parametrize("max_len", [2.5, True, "2", None])
+    def test_max_len_that_is_not_an_int_rejected(self, max_len):
+        # a float would fail in range(); True would walk as 1
+        with pytest.raises(ValueError, match=f"^max_len must be an int, got {max_len!r}$"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=max_len)
+
     def test_foreign_event_from_custom_enforce_raises(self):
         a = mutual_exclusion()
         wide = ev("101/1")

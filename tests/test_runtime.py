@@ -106,9 +106,21 @@ class TestTickRecord:
     def test_has_no_instance_dict(self):
         record = self._record()
         assert not hasattr(record, "__dict__")
-        assert TickRecord.__slots__ == (
-            "t", "observed", "released", "input_edited", "output_edited", "state_after"
-        )
+        assert TickRecord.__slots__ == ("t", "observed", "released", "state_after")
+        assert [f.name for f in dataclasses.fields(TickRecord)] == list(TickRecord.__slots__)
+
+    def test_edit_flags_are_read_off_the_events(self):
+        record = self._record()
+        for name in ("input_edited", "output_edited"):
+            flag = getattr(TickRecord, name)
+            assert isinstance(flag, property) and flag.fset is None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, False)
+            with pytest.raises(TypeError):
+                dataclasses.replace(record, **{name: False})
+        assert (record.input_edited, record.output_edited) == (True, False)
+        kept = dataclasses.replace(record, released=record.observed)
+        assert not (kept.input_edited or kept.output_edited)
 
     def test_assignment_raises(self):
         record = self._record()
@@ -130,8 +142,7 @@ class TestTickRecord:
         assert (changed.t, changed.released, changed.state_after) == (0, ev("11/1"), "q0")
         assert dataclasses.replace(changed, released=ev("10/1")) == record
         assert repr(record) == (
-            "TickRecord(t=0, observed=Event('11/1'), released=Event('10/1'), "
-            "input_edited=True, output_edited=False, state_after='q0')"
+            "TickRecord(t=0, observed=Event('11/1'), released=Event('10/1'), state_after='q0')"
         )
 
 
@@ -187,10 +198,8 @@ class TestFastRecord:
                 ):
                     assert type(clone) is TickRecord and clone == built
                     assert repr(clone) == repr(built) and hash(clone) == hash(built)
-                flipped = not record.input_edited
-                assert dataclasses.replace(record, input_edited=flipped) == dataclasses.replace(
-                    built, input_edited=flipped
-                )
+                with pytest.raises(TypeError):  # a flag is read off the events, not a field
+                    dataclasses.replace(record, input_edited=not record.input_edited)
                 assert dataclasses.replace(record) == built
         assert runs == 6
 
@@ -524,6 +533,17 @@ class TestEnforceWord:
         enforcer.tick(bv("10"), parse_program(CONSTANT_ONE))
         assert enforce_word(enforcer, (ev("11/1"),)) == (ev("10/1"),)
         assert enforcer.ticks == 1  # reset happened before the word
+
+    def test_checks_policy_and_seed_with_an_existing_enforcer(self):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        enforcer.tick(bv("10"), parse_program(CONSTANT_ONE))
+        with pytest.raises(ValueError, match="unknown repair policy 'junk'"):
+            enforce_word(enforcer, (ev("11/1"),), "junk")
+        with pytest.raises(ValueError, match="repair seed must be an int or None"):
+            enforce_word(enforcer, (ev("11/1"),), "lex", "bad")
+        assert enforcer.ticks == 1  # refused before the reset
+        # the enforcer's own policy wins over a valid argument
+        assert enforce_word(enforcer, (ev("11/1"),), "lex", 3) == (ev("10/1"),)
 
     def test_observed_word_satisfying_property_is_untouched(self):
         a = mutual_exclusion()

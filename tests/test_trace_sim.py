@@ -27,6 +27,14 @@ def test_random_inputs_are_seed_deterministic():
     assert random_inputs(alpha, 0, seed=3) == []
 
 
+@pytest.mark.parametrize("ticks", [2.5, True, "3", None])
+def test_random_inputs_tick_count_must_be_an_int(ticks):
+    alpha = Alphabet(("A", "B"), ("R",))
+    with pytest.raises(ValueError, match=f"^ticks must be an int, got {ticks!r}$"):
+        random_inputs(alpha, ticks, 0)
+    assert random_inputs(alpha, -5, 0) == []
+
+
 def test_random_inputs_cover_the_input_alphabet():
     alpha = Alphabet(("A", "B"), ("R",))
     drawn = set(random_inputs(alpha, 500, seed=0))
@@ -91,6 +99,42 @@ class TestTraceFormat:
     def test_tick_index_must_be_a_non_negative_integer(self, t):
         with pytest.raises(ValueError, match="tick index"):
             parse_record(f"{t}\t00/0\t00/0\t0\t0\tq0")
+
+    @pytest.mark.parametrize(
+        "observed, released, flags, side",
+        [
+            ("00/0", "10/0", "0\t0", "input"),
+            ("00/0", "00/0", "1\t0", "input"),
+            ("00/0", "01/1", "0\t1", "input"),
+            ("00/0", "00/1", "0\t0", "output"),
+            ("00/0", "00/0", "0\t1", "output"),
+            ("11/1", "10/1", "1\t1", "output"),
+        ],
+    )
+    def test_flags_that_disagree_with_the_events_rejected(self, observed, released, flags, side):
+        with pytest.raises(ValueError, match=f"^{side}-edited flag .* disagrees"):
+            parse_record(f"0\t{observed}\t{released}\t{flags}\tq0")
+
+    @pytest.mark.parametrize("flags", ["0\t0", "1\t1"])
+    @pytest.mark.parametrize(
+        "observed, released", [("00/0", "0/00"), ("00/0", "000/0"), ("/1", "1/")]
+    )
+    def test_events_of_different_shapes_rejected(self, observed, released, flags):
+        with pytest.raises(ValueError, match="differ in shape"):
+            parse_record(f"0\t{observed}\t{released}\t{flags}\tq0")
+
+    def test_flags_agreeing_with_the_events_parse(self):
+        for observed, released, flags in (
+            ("00/0", "00/0", (False, False)),
+            ("11/1", "10/1", (True, False)),
+            ("01/1", "01/0", (False, True)),
+            ("11/1", "00/0", (True, True)),
+            ("/", "/", (False, False)),
+        ):
+            line = f"4\t{observed}\t{released}\t{int(flags[0])}\t{int(flags[1])}\tq1"
+            record = parse_record(line)
+            assert (record.input_edited, record.output_edited) == flags
+            assert format_record(record) == line
 
     def test_negative_index_and_stray_flags_rejected(self):
         with pytest.raises(ValueError):
