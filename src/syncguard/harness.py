@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .automata import SafetyAutomaton
-from .bits import Word
+from .bits import Event, Word
 from .editing import NEAREST, canonical_policy, check_seed
 from .programs import ConstantProgram
 from .runtime import Enforcer
@@ -31,7 +31,7 @@ CONSTRAINTS = (
     "weak_transparency",
 )
 WORD_BUDGET = 10**6  # most observed words one check_constraints call enumerates
-MAX_DEPTH = 1000  # longest observed word it walks: each word copies its prefix
+MAX_DEPTH = 1000  # longest observed word it walks: each word with children copies its prefix
 
 
 @dataclass
@@ -77,28 +77,42 @@ def check_constraints(
     * weak transparency: an observed word that is itself accepted is
       released unchanged.
 
-    The walk is one loop over a stack of pending words.  A word's
-    children are pushed in reverse event order, each released only when
-    popped, so words are checked, and the enforcer called, in the order
-    above.  Each word carries the locations of the observed and of the
-    released word, as numbers, each one lookup in
-    :attr:`~syncguard.automata.SafetyAutomaton.table` from its parent's
-    (the released event's code is read through
-    :meth:`~syncguard.bits.Alphabet.code`, which refuses an event not in
-    the alphabet), so every constraint is a lookup; a parent also
-    records, per observed input, the released input its first extending
-    child got, against which the later siblings are compared.  A released
-    word that does not extend its parent's by one event (only a custom
-    ``enforce`` makes one) is walked again from the initial location.
+    The walk is one loop over a stack of pending children.  A word that
+    has children (one below ``max_len``) becomes a frame: its observed
+    word, the location of its released word (a number), the released
+    input per observed input of its children, and the runtime's snapshot
+    or, for a custom ``enforce``, the released word.  A pending child is
+    its frame, its last event, that event's program and the child's
+    observed location, one lookup in
+    :attr:`~syncguard.automata.SafetyAutomaton.table` from its parent's.
+    A frame's children are pushed in reverse event order, each released
+    only when popped, so words are checked, and the enforcer called, in
+    the order above.  A child's observed word is built only when it
+    becomes a frame, when it fails a constraint (it is the
+    counterexample), or for a custom ``enforce``, which is given it.
+
     The runtime releases every child by a ``restore`` of its parent's
     snapshot and one ``tick``, and is asked for a ``snapshot`` only of a
-    word that gets children (below ``max_len``); nothing else is read
-    from it.  Its program is one :class:`ConstantProgram` per event,
-    built once per call, which answers with the word's last observed
-    output because the runtime calls the program exactly once per tick.
-    Monotonicity is checked against the parent alone: the first word
-    whose released word misses an ancestor's also misses its parent's,
-    since the parent's extends every ancestor's.
+    word that becomes a frame; nothing else is read from it.  Its program
+    is one :class:`ConstantProgram` per event, built once per call, which
+    answers with the word's last observed output because the runtime
+    calls the program exactly once per tick.  Its released word is the
+    parent's plus the tick's event, so it is monotone and instantaneous by
+    construction and is never built.  A custom ``enforce``'s released
+    word is compared with its parent's: monotonicity is checked against
+    the parent alone (the first word whose released word misses an
+    ancestor's also misses its parent's, since the parent's extends every
+    ancestor's), and one that does not extend its parent's by one event
+    is walked again from the initial location.  Otherwise the released
+    location is one lookup from the parent's (the event's code is read
+    through :meth:`~syncguard.bits.Alphabet.code`, which refuses an event
+    not in the alphabet), and every constraint is a lookup or a
+    comparison of last events.  Weak transparency compares the last
+    events alone, with the verdict and first counterexample of the whole
+    words' comparison: the first accepted word that is released changed
+    has an accepted parent, checked before it and so released unchanged.
+    Causality compares a child's released input with the one its frame
+    recorded for the first sibling of the same observed input.
 
     ``enforce`` overrides the enforcement function under test (defaults to
     the runtime enforcer with the given policy); counterexamples are
@@ -135,56 +149,86 @@ def check_constraints(
     results = {name: True for name in CONSTRAINTS}
     counterexamples: dict[str, Word] = {}
 
-    def fail(name: str, observed: Word) -> None:
+    def fail(name: str, prefix: Word, *last: Event) -> None:
         if results[name]:
             results[name] = False
-            counterexamples[name] = observed
+            counterexamples[name] = prefix + last
 
-    # (observed word, its location, its last event's program, parent): a
-    # parent is the parent word's (released word, its location, the released
-    # input per observed input of its children, snapshot), None at the root
-    pending = [((), automaton.index[automaton.initial], None, None)]
-    words = 0
+    # the root, the empty word: only its own three checks apply
+    observed_at = automaton.index[automaton.initial]
+    released = () if enforce is None else enforce(())
+    released_at = automaton.walk(released)
+    if released_at == trap:
+        fail("soundness", ())
+    if len(released) != 0:
+        fail("instantaneity", ())
+    if observed_at != trap and released != ():
+        fail("weak_transparency", ())
+    # a frame is a word with children: (observed word, released word (a
+    # custom enforce's only), released location, the released input per
+    # observed input of its children, snapshot (the runtime's only)); a
+    # pending child is (frame, its last event, that event's program, its
+    # observed location)
+    pending = []
+    if max_len:
+        if enforce is None:
+            frame = ((), None, released_at, {}, snapshot())
+        else:
+            frame = ((), released, released_at, {}, None)
+        row = table[observed_at]
+        pending += [(frame, event, program, row[event.code]) for event, program in children]
+    words = 1
+    current = None
     while pending:
-        observed, observed_at, program, parent = pending.pop()
+        frame, event, program, observed_at = pending.pop()
         words += 1
-        extends = False
-        if parent is None:
-            released = () if enforce is None else enforce(())
+        if frame is not current:
+            current = frame
+            prefix, parent_released, parent_at, fixed_inputs, parent_snap = frame
+            parents = len(prefix) + 1 < max_len  # its children get children
+        if enforce is None:
+            # the parent's released word plus this tick's event, so monotone
+            # and instantaneous by construction
+            restore(parent_snap)
+            last = tick(event.input, program).released
+            released_at = table[parent_at][code(last)]
         else:
-            parent_released, parent_at, fixed_inputs, parent_snap = parent
-            if enforce is None:
-                restore(parent_snap)
-                released = parent_released + (tick(observed[-1].input, program).released,)
-            else:
-                released = enforce(observed)
+            observed = prefix + (event,)
+            released = enforce(observed)
             monotone = released[: len(parent_released)] == parent_released
-            extends = monotone and len(released) == len(parent_released) + 1
-        if extends:
-            released_at = table[parent_at][code(released[-1])]
-        else:
-            released_at = automaton.walk(released)
-        if released_at == trap:
-            fail("soundness", observed)
-        if len(released) != len(observed):
-            fail("instantaneity", observed)
-        if observed_at != trap and released != observed:
-            fail("weak_transparency", observed)
-        if parent is not None:
             if not monotone:
                 fail("monotonicity", observed)
-            event = observed[-1]
-            if table[parent_at][event.code] != trap and not (extends and released[-1] == event):
-                fail("transparency", observed)
-            # causality: one safe event whose input was fixed before the
-            # output was seen, so siblings differing only in it agree on it
-            x = released[-1].input if extends else None
-            if x is None or released_at == trap or fixed_inputs.setdefault(event.input, x) != x:
-                fail("causality", observed)
-        if len(observed) < max_len:
-            here = (released, released_at, {}, snapshot() if enforce is None else None)
+            if len(released) != len(observed):
+                fail("instantaneity", observed)
+            if monotone and len(released) == len(parent_released) + 1:
+                last = released[-1]
+                released_at = table[parent_at][code(last)]
+            else:
+                last = None
+                released_at = automaton.walk(released)
+        if released_at == trap:
+            fail("soundness", prefix, event)
+        # the first accepted word released changed has a parent that is
+        # accepted and was checked first, so released unchanged: its own
+        # last event decides
+        if observed_at != trap and last is not event:
+            fail("weak_transparency", prefix, event)
+        if table[parent_at][event.code] != trap and last is not event:
+            fail("transparency", prefix, event)
+        # causality: one safe event whose input was fixed before the
+        # output was seen, so siblings differing only in it agree on it
+        if (
+            last is None
+            or released_at == trap
+            or fixed_inputs.setdefault(event.input, last.input) is not last.input
+        ):
+            fail("causality", prefix, event)
+        if parents:
+            if enforce is None:
+                here = (prefix + (event,), None, released_at, {}, snapshot())
+            else:
+                here = (observed, released, released_at, {}, None)
             row = table[observed_at]
-            for event, program in children:
-                pending.append((observed + (event,), row[event.code], program, here))
+            pending += [(here, event, program, row[event.code]) for event, program in children]
 
     return ConstraintReport(results, counterexamples, words)

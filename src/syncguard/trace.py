@@ -5,12 +5,14 @@ input-edited flag, output-edited flag, location after the tick.  Events
 render as ``inputs/outputs`` bit strings in declaration order.  The flags
 are the events' own: a side's flag is ``1`` exactly when its released
 bits differ from its observed bits (see :class:`TickRecord`).  The tick
-index is a non-negative decimal integer and each flag is ``0`` or ``1``;
-:func:`parse_record` rejects anything else with ``ValueError``, and so a
-line whose two events differ in shape or whose flags disagree with its
-events.  Lines starting with ``#`` are comments.  All content is
-deterministic, so two runs with identical configuration produce
-byte-identical files.
+index is a non-negative decimal integer written as ``str`` writes it (no
+leading zero but in ``0`` itself), each flag is ``0`` or ``1``, and the
+location is not empty; :func:`parse_record` rejects anything else with
+``ValueError``, and so a line whose two events differ in shape or whose
+flags disagree with its events.  So each record has one text, the one
+:func:`format_record` writes.  Lines starting with ``#`` are comments.
+All content is deterministic, so two runs with identical configuration
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ def parse_record(line: str) -> TickRecord:
     if len(fields) != 6:
         raise ValueError(f"expected 6 tab-separated fields, got {len(fields)}: {line!r}")
     t, observed, released, input_edited, output_edited, state = fields
-    if not (t.isascii() and t.isdigit()):
-        raise ValueError(f"tick index must be a non-negative integer, got {t!r}")
+    if not (t.isascii() and t.isdigit()) or (t[0] == "0" and t != "0"):
+        raise ValueError(f"tick index must be a non-negative decimal integer, got {t!r}")
+    if not state:
+        raise ValueError("location field must not be empty")
     for flag in (input_edited, output_edited):
         if flag not in ("0", "1"):
             raise ValueError(f"edit flag must be 0 or 1, got {flag!r}")

@@ -297,6 +297,32 @@ class TestSimulate:
         assert message in captured.err
 
     @pytest.mark.parametrize("role", ["program", "env"])
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (
+                "007\t00/0\t00/0\t0\t0\tq0",
+                "tick index must be a non-negative decimal integer, got '007'",
+            ),
+            ("0\t00/0\t00/0\t0\t0\t", "location field must not be empty"),
+        ],
+        ids=["leading-zero", "empty-location"],
+    )
+    def test_non_canonical_trace_line_exits_two(
+        self, s1_file, tmp_path, capsys, role, record, message
+    ):
+        path = tmp_path / "noncanonical.txt"
+        path.write_text(f"{record}\n")
+        program = f"scripted:{path}" if role == "program" else "const:1"
+        env = f"trace:{path}" if role == "env" else "random"
+        capsys.readouterr()
+        argv = ["simulate", s1_file, program, "--env", env, "--ticks", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: {message}" in captured.err
+
+    @pytest.mark.parametrize("role", ["program", "env"])
     def test_trace_field_wider_than_any_interface_exits_two(self, s1_file, tmp_path, capsys, role):
         path = tmp_path / "wide17.txt"
         path.write_text(f"0\t{'0' * 17}/0\t00/0\t0\t0\tq0\n")

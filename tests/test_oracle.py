@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import syncguard.harness
 from syncguard import (
     NEAREST,
     POLICIES,
@@ -16,6 +17,7 @@ from syncguard import (
     Enforcer,
     Event,
     SafetyAutomaton,
+    TickRecord,
     always_accepting,
     at_most_one_tick,
     check_constraints,
@@ -258,15 +260,24 @@ class TestCheckConstraints:
 
     @pytest.mark.parametrize("max_len", [MAX_DEPTH + 1, 3000, 100_000, WORD_BUDGET - 1])
     def test_depth_past_the_bound_rejected(self, max_len):
-        # one event per level: within the word budget, but past the depth bound
-        with pytest.raises(ValueError, match=f"^max_len must be at most {MAX_DEPTH}, got {max_len}$"):
-            check_constraints(always_accepting(Alphabet.null()), NEAREST, max_len=max_len)
+        # one event per level: within the word budget, but past the depth bound,
+        # with the runtime and with a custom enforcement function
+        a = always_accepting(Alphabet.null())
+        message = f"^max_len must be at most {MAX_DEPTH}, got {max_len}$"
+        for enforce in (None, lambda observed: observed):
+            with pytest.raises(ValueError, match=message):
+                check_constraints(a, NEAREST, max_len=max_len, enforce=enforce)
 
     @pytest.mark.parametrize("enforce", [None, lambda observed: observed], ids=["runtime", "custom"])
-    def test_every_depth_up_to_the_bound_walked(self, enforce):
+    def test_every_depth_up_to_the_bound_walked(self, enforce, monkeypatch):
+        snapshots = []
+        snapshot = Enforcer.snapshot
+        monkeypatch.setattr(Enforcer, "snapshot", lambda self: snapshots.append(1) or snapshot(self))
         a = always_accepting(Alphabet.null())
         report = check_constraints(a, NEAREST, max_len=MAX_DEPTH, enforce=enforce)
         assert report.passed and report.words_checked == MAX_DEPTH + 1
+        # the runtime snapshots each word with children, every one but the deepest
+        assert len(snapshots) == (MAX_DEPTH if enforce is None else 0)
 
     def test_word_budget_binds_before_the_depth_bound_from_two_events(self):
         # every bound accepted on two or more events is under the depth bound
@@ -359,6 +370,98 @@ class TestPinnedReports:
                 report = check_constraints(a, NEAREST, max_len=3, enforce=enforce)
                 digest.update(f"{name}\n{_report_text(report)}".encode())
         assert digest.hexdigest() == BROKEN_DIGEST
+
+
+class _SkipsOutputRepair(Enforcer):
+    """Releases the program's output where the runtime repairs it; the
+    tracked location follows the repaired event, so it is never the trap."""
+
+    def tick(self, inputs, program):
+        record = super().tick(inputs, program)
+        released = self.automaton.alphabet.event(record.released.input, record.observed.output)
+        return TickRecord(record.t, record.observed, released, record.state_after)
+
+
+class _SkipsInputRepair(Enforcer):
+    """Releases the environment's input where the runtime repairs it."""
+
+    def tick(self, inputs, program):
+        record = super().tick(inputs, program)
+        released = self.automaton.alphabet.event(record.observed.input, record.released.output)
+        return TickRecord(record.t, record.observed, released, record.state_after)
+
+
+class _HoldsLocation(Enforcer):
+    """Decides every tick at the location it started in."""
+
+    def tick(self, inputs, program):
+        location = self.location
+        record = super().tick(inputs, program)
+        self.location = location
+        return record
+
+
+class _PeeksAtOutput(Enforcer):
+    """Asks the program first and, on a non-zero output, takes the safe
+    input of the highest code: its input depends on the output."""
+
+    def tick(self, inputs, program):
+        output = program(inputs)  # once per tick, so a script stays in step
+        if output.code:
+            inputs = max(self.edit_sets.safe_inputs[self.location], key=lambda x: x.code)
+        return super().tick(inputs, lambda _: output)
+
+
+MUTANTS = {
+    "skips_output_repair": _SkipsOutputRepair,
+    "skips_input_repair": _SkipsInputRepair,
+    "holds_location": _HoldsLocation,
+    "peeks_at_output": _PeeksAtOutput,
+}
+# recorded with the walk that built every observed and released word
+MUTANT_DIGEST = "96d736d605fa53162202cbf0fe7e15c54beeb40082095aad319eb17299fe4472"
+
+
+@pytest.fixture(scope="module")
+def mutant_slice(enforceable_family, random_family):
+    return [mutual_exclusion()] + enforceable_family[::250] + random_family[::20]
+
+
+class TestRuntimePathCounterexamples:
+    """The runtime path (no ``enforce``) with ``Enforcer`` replaced by a
+    mutant: its failed constraints and counterexamples are pinned, and
+    they equal the ones ``enforce=`` finds when it replays every word
+    through the same mutant."""
+
+    def test_mutant_reports_pinned(self, monkeypatch, mutant_slice):
+        digest = hashlib.sha256()
+        for name, mutant in MUTANTS.items():
+            monkeypatch.setattr(syncguard.harness, "Enforcer", mutant)
+            failed = set()
+            for a in mutant_slice:
+                for policy in POLICIES:
+                    report = check_constraints(a, policy, max_len=4, seed=7)
+                    digest.update(f"{name} {policy}\n{_report_text(report)}".encode())
+                    failed.update(c for c, ok in report.results.items() if not ok)
+                    if "soundness" in report.counterexamples:
+                        observed = report.counterexamples["soundness"]
+                        assert not a.accepts(enforce_word(mutant(a, policy, 7), observed))
+            assert failed, name
+        assert digest.hexdigest() == MUTANT_DIGEST
+
+    @pytest.mark.parametrize("name", ["runtime"] + list(MUTANTS))
+    def test_runtime_path_agrees_with_replaying_each_word(self, monkeypatch, mutant_slice, name):
+        runtime = MUTANTS.get(name, Enforcer)
+        monkeypatch.setattr(syncguard.harness, "Enforcer", runtime)
+        for a in mutant_slice:
+            for policy in POLICIES:
+                enforcer = runtime(a, policy, 7)
+                by_word = check_constraints(
+                    a, policy, 4, 7, enforce=lambda w: enforce_word(enforcer, w)
+                )
+                by_tick = check_constraints(a, policy, 4, 7)
+                assert _report_text(by_tick) == _report_text(by_word), (name, policy)
+                assert by_tick.counterexamples == by_word.counterexamples
 
 
 class TestValidateWitness:

@@ -95,10 +95,17 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="edit flag must be 0 or 1"):
             parse_record("\t".join(fields))
 
-    @pytest.mark.parametrize("t", ["-3", "+3", " 3", "", "1.0", "\u0663"])
+    # a leading zero too: int() would read it, but format_record never writes it
+    @pytest.mark.parametrize("t", ["-3", "+3", " 3", "", "1.0", "\u0663", "007", "00", "01"])
     def test_tick_index_must_be_a_non_negative_integer(self, t):
         with pytest.raises(ValueError, match="tick index"):
             parse_record(f"{t}\t00/0\t00/0\t0\t0\tq0")
+
+    def test_empty_location_rejected(self):
+        with pytest.raises(ValueError, match="^location field must not be empty$"):
+            parse_record("7\t00/0\t00/0\t0\t0\t")
+        with pytest.raises(ValueError, match="^location field must not be empty$"):
+            read_trace("0\t00/0\t00/0\t0\t0\tq0\n1\t00/0\t00/0\t0\t0\t\n")
 
     @pytest.mark.parametrize(
         "observed, released, flags, side",
