@@ -62,7 +62,11 @@ def check_seed(seed: Optional[int]) -> None:
     """Refuse a repair seed that is neither ``None`` nor an int, or is a
     bool, with ``ValueError``: the seeded-random pick hashes the seed as
     text, so ``True`` and ``1.0`` would pick differently from 1.  Every
-    entry point that takes a seed checks it, under every policy."""
+    public entry point that takes a seed checks it, under every policy:
+    ``Enforcer``, ``enforce_word``, ``check_constraints``,
+    ``build_edit_tables``, ``oracle_enforce`` and ``oracle_step``.  The
+    picks they reach (:func:`select`, :func:`choose_seeded`) take the
+    seed as checked."""
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ValueError(f"repair seed must be an int or None, got {seed!r}")
 
@@ -142,9 +146,9 @@ def choose_lexicographic(candidates: Iterable[BitVector]) -> BitVector:
 def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVector:
     """Stable pseudo-random pick: a pure function of the seed and the set.
 
-    ``None`` is seed 0; any other seed is checked by :func:`check_seed`.
+    ``None`` is seed 0.  The seed is not checked here: the entry point
+    that took it has checked it (see :func:`check_seed`).
     """
-    check_seed(seed)
     ranked = sorted(candidates, key=attrgetter("bits"))
     material = f"{seed or 0}:" + ",".join(str(c) for c in ranked)
     digest = hashlib.sha256(material.encode("ascii")).digest()
@@ -162,7 +166,7 @@ def select(
     ``policy`` may be an alias (``lex``, ``random``); a canonical name is
     used as is, so callers that resolved it pay no second lookup.  An
     empty set raises ``ValueError`` under every policy, and so does an
-    unknown policy name.
+    unknown policy name.  The seed is taken as checked by the caller.
     """
     if not candidates:
         raise ValueError("no candidate to pick from: the safe set is empty")
@@ -189,9 +193,12 @@ def build_edit_tables(
     Sets from :func:`compute_edit_sets` have no empty safe-output set
     under a safe input: by the projection lemma, an input is safe exactly
     when some output is.  ``nearest`` depends on the observed event, so
-    it has no table.
+    it has no table.  An unknown policy name or a seed
+    :func:`check_seed` refuses raises ``ValueError`` first, under every
+    policy.
     """
     policy = canonical_policy(policy)
+    check_seed(seed)
     if policy == NEAREST:
         raise ValueError("the nearest policy is observed-dependent; no static table exists")
     distinct: dict[frozenset[BitVector], None] = {}  # first-seen order

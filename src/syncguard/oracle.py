@@ -22,7 +22,7 @@ from typing import Optional
 
 from .automata import SafetyAutomaton
 from .bits import BitVector, Event, Word
-from .editing import NEAREST, canonical_policy, check_seed, select
+from .editing import NEAREST, POLICIES, canonical_policy, check_seed, select
 
 
 def oracle_step(
@@ -52,9 +52,16 @@ def oracle_step(
     event violates, which only a non-enforceable automaton has): no input
     is safe there, and :func:`~syncguard.editing.select` refuses an empty
     set under every policy.
+
+    Callers pass the same policy and seed for every step of a word, so
+    each check costs one comparison when it passes: a canonical name is
+    used as is, and ``None`` or an exact ``int`` seed is not checked
+    further.  Anything else goes through the full check.
     """
-    policy = canonical_policy(policy)
-    check_seed(seed)
+    if policy not in POLICIES:
+        policy = canonical_policy(policy)
+    if seed is not None and seed.__class__ is not int:
+        check_seed(seed)
     alphabet = automaton.alphabet
     trap = automaton.index[automaton.violating]
     row = automaton.table[automaton.walk(released)]
@@ -83,8 +90,13 @@ def oracle_enforce(
     policy: str = NEAREST,
     seed: Optional[int] = None,
 ) -> Word:
-    """Released word computed purely from words and membership."""
+    """Released word computed purely from words and membership.
+
+    The policy and the seed are checked once, before the first step, so
+    an empty word refuses them too.
+    """
     policy = canonical_policy(policy)
+    check_seed(seed)
     released: Word = ()
     for event in observed:
         released = released + (oracle_step(automaton, released, event, policy, seed),)

@@ -116,6 +116,8 @@ class Enforcer:
         )
         self.location = automaton.initial
         self.ticks = 0
+        # the last snapshot restore checked: a fresh valid pair no caller holds
+        self._restored = (self.location, 0)
         self._in_width = len(automaton.alphabet.inputs)
         self._out_width = len(automaton.alphabet.outputs)
 
@@ -133,7 +135,19 @@ class Enforcer:
         and a non-negative int raises ValueError, leaving the state
         unchanged.  The location check is one lookup: the keys of
         ``edit_sets.safe_inputs`` are exactly the accepting locations.
+
+        The last exact ``tuple`` that passed is remembered, and the same
+        object passed again is taken after one identity test: a tuple
+        cannot change, and the automaton is this enforcer's for life.  So
+        a walk that restores one parent's snapshot before each of its
+        children, as ``check_constraints`` does, checks it once.  An equal
+        but distinct tuple is checked again, and so is a tuple subclass,
+        which may unpack differently each time.  The memo starts as a
+        fresh valid pair that no caller holds.
         """
+        if snapshot is self._restored:
+            self.location, self.ticks = snapshot
+            return
         if isinstance(snapshot, tuple) and len(snapshot) == 2:
             location, ticks = snapshot
             try:
@@ -142,6 +156,8 @@ class Enforcer:
                 accepting = False
             if accepting and isinstance(ticks, int) and not isinstance(ticks, bool) and ticks >= 0:
                 self.location, self.ticks = location, ticks
+                if snapshot.__class__ is tuple:
+                    self._restored = snapshot
                 return
         raise ValueError(f"not a snapshot of this enforcer: {snapshot!r}")
 
@@ -229,7 +245,7 @@ def _shared_edit_sets(automaton: SafetyAutomaton) -> EditSets:
 
 
 def _check_vector(vector, width: int, role: str) -> None:
-    if not isinstance(vector, BitVector) or len(vector) != width:
+    if not isinstance(vector, BitVector) or len(vector.bits) != width:
         raise ValueError(
             f"{role} width or type mismatch: expected a {width}-bit BitVector, "
             f"got {vector!r}"

@@ -749,3 +749,8 @@ class TestRendering:
     def test_isomorphic_ignores_names(self):
         doc = S1_DOC.replace("ok", "fine").replace("bad", "boom")
         assert isomorphic(normalize(parse_automaton(doc)), mutual_exclusion())
+
+    def test_isomorphic_needs_equal_alphabets(self):
+        renamed_output = mutual_exclusion("S")
+        assert renamed_output.table == mutual_exclusion().table
+        assert not isomorphic(renamed_output, mutual_exclusion())

@@ -151,6 +151,12 @@ class TestSimulate:
         for k in range(len(released) + 1):
             assert a.accepts(released[:k])
 
+    def test_random_environment_runs_1000_ticks_by_default(self, s1_file, tmp_path, capsys):
+        out = tmp_path / "trace.txt"
+        assert main(["simulate", s1_file, "const:1", "--seed", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("ticks=1000 ")
+        assert len(read_trace(out.read_text())) == 1000
+
     def test_byte_identical_reruns(self, s1_file, tmp_path):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
         argv = ["simulate", s1_file, "const:1", "--ticks", "100", "--seed", "9"]

@@ -302,13 +302,16 @@ def test_a_repair_seed_is_an_int_or_none(policy, seed):
     # reads it: each would pick differently from the int it equals
     with pytest.raises(ValueError, match="repair seed must be an int or None"):
         Enforcer(a, policy, seed)
-    with pytest.raises(ValueError, match="repair seed must be an int or None"):
-        oracle_step(a, (), observed, policy, seed)
+    for event in (observed, ev("00/0")):  # repaired, and kept as it is
+        with pytest.raises(ValueError, match="repair seed must be an int or None"):
+            oracle_step(a, (), event, policy, seed)
     with pytest.raises(ValueError, match="repair seed must be an int or None"):
         check_constraints(a, policy, 1, seed)
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        build_edit_tables(compute_edit_sets(a), policy, seed)
+    with pytest.raises(ValueError, match="repair seed must be an int or None"):
+        oracle_enforce(a, (), policy, seed)
     if policy == SEEDED_RANDOM:
-        with pytest.raises(ValueError, match="repair seed must be an int or None"):
-            build_edit_tables(compute_edit_sets(a), policy, seed)
         assert oracle_step(a, (), observed, policy, 1) is ev("00/1")
         assert Enforcer(a, policy, None).tables == Enforcer(a, policy, 0).tables
 
@@ -331,6 +334,18 @@ def test_oracle_enforce_refuses_a_malformed_seed_on_a_word_it_keeps():
     assert oracle_enforce(a, kept, "random", 1) == kept
     with pytest.raises(ValueError, match="repair seed must be an int or None"):
         oracle_enforce(a, kept, "random", True)
+
+
+def test_oracle_step_takes_an_int_subclass_seed_as_its_int():
+    class Seed(int):
+        pass
+
+    a = mutual_exclusion()
+    for policy in POLICIES + ("lex", "random"):
+        for seed in range(8):
+            assert oracle_step(a, (), ev("11/1"), policy, Seed(seed)) is oracle_step(
+                a, (), ev("11/1"), policy, seed
+            )
 
 
 def test_policy_aliases():

@@ -623,15 +623,16 @@ def test_oracle_reads_nothing_of_the_compiled_form(monkeypatch):
     assert verdicts() == unpatched
 
 
-# Names each module may give ``oracle.py``: the automaton, events, and the
-# repair policies' one dispatcher with its checks of the policy name and
-# seed, but no edit set, table, input projection, program or runtime.
+# Names each module may give ``oracle.py``: the automaton, events, the
+# repair policies' names, and their one dispatcher with its checks of the
+# policy name and seed, but no edit set, table, input projection, program
+# or runtime.
 ORACLE_IMPORTS = {
     "__future__": {"annotations"},
     "typing": {"Optional"},
     "automata": {"SafetyAutomaton"},
     "bits": {"BitVector", "Event", "Word"},
-    "editing": {"NEAREST", "canonical_policy", "check_seed", "select"},
+    "editing": {"NEAREST", "POLICIES", "canonical_policy", "check_seed", "select"},
 }
 
 

@@ -51,6 +51,33 @@ def ev(text):
     return Event.from_text(text)
 
 
+TOGGLE = """
+inputs: A
+outputs: B
+states: even odd bad
+initial: even
+violating: bad
+even -> odd : -/-
+odd -> even : -/-
+"""
+
+BAD_SNAPSHOTS = {
+    "trap": ("qv", 0),
+    "unknown": ("nope", 0),
+    "unhashable": (["q0"], 0),
+    "str-ticks": ("q0", "x"),
+    "bool-ticks": ("q0", True),
+    "negative": ("q0", -1),
+    "bare-name": "q0",
+}
+MORE_BAD_SNAPSHOTS = {
+    "none": None,
+    "triple": ("q0", 0, 0),
+    "float-ticks": ("q0", 1.0),
+    "none-ticks": ("q0", None),
+    "location-this-automaton-lacks": ("q1", 0),
+}
+
 CONSTANT_ONE = """
 inputs: A B
 outputs: R
@@ -453,11 +480,7 @@ class TestStateTracking:
         again = enforcer.tick(bv("11"), program)
         assert first == again
 
-    @pytest.mark.parametrize(
-        "snapshot",
-        [("qv", 0), ("nope", 0), (["q0"], 0), ("q0", "x"), ("q0", True), ("q0", -1), "q0"],
-        ids=["trap", "unknown", "unhashable", "str-ticks", "bool-ticks", "negative", "bare-name"],
-    )
+    @pytest.mark.parametrize("snapshot", BAD_SNAPSHOTS.values(), ids=BAD_SNAPSHOTS)
     def test_restore_rejects_a_bad_snapshot(self, snapshot):
         enforcer = Enforcer(mutual_exclusion(), NEAREST)
         program = parse_program(CONSTANT_ONE)
@@ -481,11 +504,7 @@ class TestStateTracking:
         assert enforcer.snapshot() == ("q0", 5)
         assert enforcer.tick(bv("10"), program).t == 5
 
-    @pytest.mark.parametrize(
-        "snapshot",
-        [None, ("q0", 0, 0), ("q0", 1.0), ("q0", None), ("q1", 0)],
-        ids=["none", "triple", "float-ticks", "none-ticks", "location-this-automaton-lacks"],
-    )
+    @pytest.mark.parametrize("snapshot", MORE_BAD_SNAPSHOTS.values(), ids=MORE_BAD_SNAPSHOTS)
     def test_restore_rejects_more_bad_snapshots(self, snapshot):
         enforcer = Enforcer(mutual_exclusion(), NEAREST)
         program = parse_program(CONSTANT_ONE)
@@ -495,6 +514,85 @@ class TestStateTracking:
             enforcer.restore(snapshot)
         assert enforcer.snapshot() == before
         assert enforcer.tick(bv("11"), program).t == before[1]
+
+
+def _count_location_checks(enforcer):
+    """Make ``restore``'s location lookup count itself in ``lookups`` of
+    the returned class."""
+
+    class Counted(dict):
+        lookups = 0
+
+        def __contains__(self, key):
+            Counted.lookups += 1
+            return super().__contains__(key)
+
+    sets = enforcer.edit_sets
+    enforcer.edit_sets = dataclasses.replace(sets, safe_inputs=Counted(sets.safe_inputs))
+    return Counted
+
+
+class TestRestoreMemo:
+    """``restore`` takes the last exact tuple it checked by identity; every
+    other snapshot is checked as before, also right after a valid restore."""
+
+    def test_none_on_a_fresh_enforcer_raises(self):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        for snapshot in (None, ()):
+            with pytest.raises(ValueError, match=r"^not a snapshot of this enforcer: "):
+                enforcer.restore(snapshot)
+            assert enforcer.snapshot() == ("q0", 0)
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [*BAD_SNAPSHOTS.values(), *MORE_BAD_SNAPSHOTS.values()],
+        ids=[*BAD_SNAPSHOTS, *MORE_BAD_SNAPSHOTS],
+    )
+    def test_a_bad_snapshot_right_after_a_valid_restore_raises(self, snapshot):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        program = parse_program(CONSTANT_ONE)
+        enforcer.tick(bv("10"), program)
+        snap = enforcer.snapshot()
+        enforcer.restore(snap)
+        for _ in range(2):  # a refused snapshot is not remembered either
+            with pytest.raises(ValueError, match=r"^not a snapshot of this enforcer: "):
+                enforcer.restore(snapshot)
+            assert enforcer.snapshot() == snap
+        enforcer.restore(snap)
+        assert enforcer.tick(bv("11"), program).t == snap[1]
+
+    def test_the_same_tuple_is_checked_once_and_others_every_time(self):
+        class Ticks(int):
+            pass
+
+        Snapshot = namedtuple("Snapshot", "location ticks")
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        counted = _count_location_checks(enforcer)
+        enforcer.tick(bv("10"), parse_program(CONSTANT_ONE))
+        snap = enforcer.snapshot()
+        for _ in range(3):
+            enforcer.restore(snap)
+        assert counted.lookups == 1
+        named = Snapshot(*snap)
+        for other in (tuple(list(snap)), ("q0", Ticks(1)), named, named):
+            assert other is not snap
+            enforcer.restore(other)
+            assert enforcer.snapshot() == snap
+        assert counted.lookups == 5  # a subclass is never remembered
+
+    def test_another_automatons_snapshot_is_refused_after_a_valid_restore(self):
+        toggle = normalize(parse_automaton(TOGGLE))
+        other = Enforcer(toggle, NEAREST)
+        zero = toggle.alphabet.output_events[0]
+        other.tick(toggle.alphabet.input_events[0], lambda x: zero)
+        foreign = other.snapshot()
+        assert foreign[0] not in mutual_exclusion().locations
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        snap = enforcer.snapshot()
+        enforcer.restore(snap)
+        with pytest.raises(ValueError, match=r"^not a snapshot of this enforcer: "):
+            enforcer.restore(foreign)
+        assert enforcer.snapshot() == snap
 
 
 class TestReplayMonotonicity:
