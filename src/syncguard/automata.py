@@ -211,12 +211,16 @@ class SafetyAutomaton:
         fill(self, "table", table)
         fill(self, "index", index)
         # later a weak reference to the safe sets of this automaton's live
-        # enforcers (see syncguard.runtime), and ``delta`` once read; both
-        # filled here so every instance fills its attributes in one order
-        # (see ``delta``), and not fields, so equality, hashing, repr and
-        # pickling ignore them
+        # enforcers (see syncguard.runtime), ``delta`` once read, and the
+        # word-level oracle's repairs of trap-bound steps, keyed by
+        # (location number, observed code, policy, seed), which only
+        # syncguard.oracle reads (the runtime never does); all filled here
+        # so every instance fills its attributes in one order (see
+        # ``delta``), and not fields, so equality, hashing, repr, copies
+        # and pickling ignore them
         fill(self, "_edit_sets", None)
         fill(self, "_delta", None)
+        fill(self, "_oracle_repairs", None)
 
     def __reduce__(self):
         # the read-only mappings do not pickle; the table rebuilds them

@@ -60,13 +60,13 @@ def canonical_policy(name: str) -> str:
 
 def check_seed(seed: Optional[int]) -> None:
     """Refuse a repair seed that is neither ``None`` nor an int, or is a
-    bool, with ``ValueError``: the seeded-random pick hashes the seed as
-    text, so ``True`` and ``1.0`` would pick differently from 1.  Every
-    public entry point that takes a seed checks it, under every policy:
-    ``Enforcer``, ``enforce_word``, ``check_constraints``,
-    ``build_edit_tables``, ``oracle_enforce`` and ``oracle_step``.  The
-    picks they reach (:func:`select`, :func:`choose_seeded`) take the
-    seed as checked."""
+    bool, with ``ValueError``: the seeded-random pick hashes the seed's
+    int value, and a float or a bool is no seed even when it equals one
+    (``1.0``, ``True``).  Every public entry point that takes a seed
+    checks it, under every policy: ``Enforcer``, ``enforce_word``,
+    ``check_constraints``, ``build_edit_tables``, ``oracle_enforce`` and
+    ``oracle_step``.  The picks they reach (:func:`select`,
+    :func:`choose_seeded`) take the seed as checked."""
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ValueError(f"repair seed must be an int or None, got {seed!r}")
 
@@ -146,11 +146,13 @@ def choose_lexicographic(candidates: Iterable[BitVector]) -> BitVector:
 def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVector:
     """Stable pseudo-random pick: a pure function of the seed and the set.
 
-    ``None`` is seed 0.  The seed is not checked here: the entry point
-    that took it has checked it (see :func:`check_seed`).
+    ``None`` is seed 0.  The seed's int value is hashed, not its text, so
+    an ``int`` subclass with its own ``__str__`` picks as the int it
+    equals.  The seed is not checked here: the entry point that took it
+    has checked it (see :func:`check_seed`).
     """
     ranked = sorted(candidates, key=attrgetter("bits"))
-    material = f"{seed or 0}:" + ",".join(str(c) for c in ranked)
+    material = f"{int(seed or 0)}:" + ",".join(str(c) for c in ranked)
     digest = hashlib.sha256(material.encode("ascii")).digest()
     return ranked[int.from_bytes(digest[:8], "big") % len(ranked)]
 

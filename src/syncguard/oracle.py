@@ -10,7 +10,10 @@ bug in the runtime cannot hide behind itself:
 * :func:`oracle_enforce` rebuilds the released word step by step.  An
   observed event whose step from the released prefix's location avoids
   the trap is released as is, after that one lookup; otherwise the edit
-  is decided from the one-event extensions of the released prefix.
+  is decided from the one-event extensions of the released prefix.  That
+  decision is a function of the location, the observed event, the policy
+  and the seed, so each automaton remembers it under that key, in a memo
+  that only this module reads and the runtime never does.
 * :func:`validate_witness` confirms a claimed proof that no enforcer
   exists: an accepted word leading to a location from which every event
   violates.
@@ -57,6 +60,13 @@ def oracle_step(
     each check costs one comparison when it passes: a canonical name is
     used as is, and ``None`` or an exact ``int`` seed is not checked
     further.  Anything else goes through the full check.
+
+    A trap-bound step's repair is decided once per automaton and then
+    remembered, keyed by (location number, observed event's code,
+    canonical policy, seed); a copy of the automaton starts with none.
+    A step that raises is not remembered, so it raises on every call.
+    The runtime never reads these repairs, nor does the oracle read the
+    runtime's sets or tables.
     """
     if policy not in POLICIES:
         policy = canonical_policy(policy)
@@ -64,10 +74,27 @@ def oracle_step(
         check_seed(seed)
     alphabet = automaton.alphabet
     trap = automaton.index[automaton.violating]
-    row = automaton.table[automaton.walk(released)]
+    location = automaton.walk(released)
+    row = automaton.table[location]
     code = alphabet.code(observed)
     if row[code] != trap:
         return alphabet.events[code]
+    repairs = automaton._oracle_repairs
+    if repairs is None:
+        repairs = {}
+        # past the frozen __setattr__, as ``SafetyAutomaton.delta`` is set
+        object.__setattr__(automaton, "_oracle_repairs", repairs)
+    key = (location, code, policy, seed)
+    repair = repairs.get(key)
+    if repair is None:
+        # concurrent first calls compute the same event; the first stored wins
+        repair = repairs.setdefault(key, _repair(alphabet, row, trap, observed, policy, seed))
+    return repair
+
+
+def _repair(alphabet, row, trap, observed, policy, seed) -> Event:
+    """The event released for a trap-bound observed event, from the row
+    of the released prefix's location (see :func:`oracle_step`)."""
     safe: dict[BitVector, set[BitVector]] = {}
     for event, target in zip(alphabet.events, row):
         if target != trap:

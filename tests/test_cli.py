@@ -156,6 +156,12 @@ class TestSimulate:
         assert main(["simulate", s1_file, "const:1", "--seed", "5", "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("ticks=1000 ")
         assert len(read_trace(out.read_text())) == 1000
+        # the same when the environment is named
+        named = tmp_path / "named.txt"
+        argv = ["simulate", s1_file, "const:1", "--env", "random", "--seed", "5", "--out", str(named)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("ticks=1000 ")
+        assert named.read_bytes() == out.read_bytes()
 
     def test_byte_identical_reruns(self, s1_file, tmp_path):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -3,6 +3,7 @@ import copy
 import gc
 import hashlib
 import itertools
+import pickle
 import sys
 from pathlib import Path
 
@@ -196,6 +197,17 @@ class TestCheckConstraints:
         # the offending step pairs B with the output it must not join
         last = counterexample[-1]
         assert last.input.bits[1] == 1 and last.output.bits[0] == 1
+
+    def test_the_empty_words_own_checks_fail_on_a_non_empty_unsafe_answer(self):
+        # an enforce that answers the empty word with one event into the
+        # trap breaks the three checks the root has, each at the root
+        a = mutual_exclusion()
+        into_trap = next(e for e in a.alphabet.events if not a.accepts((e,)))
+        report = check_constraints(a, NEAREST, max_len=0, enforce=lambda observed: (into_trap,))
+        failed = {"soundness", "instantaneity", "weak_transparency"}
+        assert {name for name, ok in report.results.items() if not ok} == failed
+        assert report.counterexamples == {name: () for name in failed}
+        assert report.words_checked == 1
 
     def test_input_steered_by_output_fails_causality(self):
         # sound, monotone and instantaneous, but the input is picked from
@@ -577,6 +589,67 @@ class TestOracleStepDefinition:
                         assert got == expected, (policy, released, observed)
                     with pytest.raises(ValueError, match="unknown repair policy"):
                         oracle_step(a, released, observed, "bogus", 7)
+
+
+class TestOracleRepairMemo:
+    """Each automaton remembers the oracle's trap-bound repairs, keyed by
+    (location, observed event, policy, seed); a warmed automaton answers
+    as a cold copy of it and as the definition does."""
+
+    def test_warmed_answers_equal_cold_copies_and_the_definition(self):
+        golden = Path(__file__).parent / "golden"
+        policies = POLICIES + ("lex", "random")
+        for a in (
+            copy.copy(mutual_exclusion()),
+            normalize(parse_automaton((golden / "random19.aut").read_text())),
+        ):
+            events = a.alphabet.events
+            prefixes = [
+                w for n in range(3) for w in itertools.product(events, repeat=n) if a.accepts(w)
+            ]
+            cases = [
+                (released, observed, policy, seed)
+                for released in prefixes
+                for observed in events
+                for policy in policies
+                for seed in range(8)
+            ]
+            for case in cases:
+                oracle_step(a, *case)
+            assert a._oracle_repairs
+            for released, observed, policy, seed in cases:
+                warm = oracle_step(a, released, observed, policy, seed)
+                cold = copy.copy(a)
+                assert cold == a and hash(cold) == hash(a) and cold._oracle_repairs is None
+                assert oracle_step(cold, released, observed, policy, seed) is warm
+                defined = TestOracleStepDefinition._defined(a, released, observed, policy, seed)
+                assert warm == defined, (policy, seed, released, observed)
+
+    def test_seed_and_policy_each_change_some_repair(self):
+        # so a key without either would answer some step wrongly
+        a = copy.copy(mutual_exclusion())
+        observed = ev("11/1")
+        seeded = {oracle_step(a, (), observed, "random", seed) for seed in range(8)}
+        assert len(seeded) > 1
+        by_policy = {oracle_step(a, (), observed, policy, 0) for policy in POLICIES}
+        assert len(by_policy) > 1
+
+    def test_copies_and_pickles_start_empty(self):
+        a = copy.copy(mutual_exclusion())
+        oracle_step(a, (), ev("11/1"), NEAREST)
+        assert a._oracle_repairs
+        for other in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert other == a and repr(other) == repr(a)
+            assert other._oracle_repairs is None
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_dead_location_step_raises_on_every_call(self, policy):
+        a = copy.copy(at_most_one_tick())
+        e = a.alphabet.events[0]
+        for _ in range(3):
+            with pytest.raises(ValueError, match="the safe set is empty"):
+                oracle_step(a, (e,), e, policy, 3)
+        assert not a._oracle_repairs
 
 
 class _CompiledFormRead(Exception):
