@@ -25,7 +25,7 @@ from typing import Optional
 
 from .automata import SafetyAutomaton
 from .bits import BitVector, Event, Word
-from .editing import NEAREST, POLICIES, canonical_policy, check_seed, select
+from .editing import NEAREST, POLICIES, SEEDED_RANDOM, canonical_policy, check_seed, select
 
 
 def oracle_step(
@@ -63,7 +63,9 @@ def oracle_step(
 
     A trap-bound step's repair is decided once per automaton and then
     remembered, keyed by (location number, observed event's code,
-    canonical policy, seed); a copy of the automaton starts with none.
+    canonical policy, seed), where the seed is ``None`` under every policy
+    but ``seeded-random``, as the others ignore it; a copy of the
+    automaton starts with none.
     A step that raises is not remembered, so it raises on every call.
     The runtime never reads these repairs, nor does the oracle read the
     runtime's sets or tables.
@@ -84,7 +86,7 @@ def oracle_step(
         repairs = {}
         # past the frozen __setattr__, as ``SafetyAutomaton.delta`` is set
         object.__setattr__(automaton, "_oracle_repairs", repairs)
-    key = (location, code, policy, seed)
+    key = (location, code, policy, seed if policy == SEEDED_RANDOM else None)
     repair = repairs.get(key)
     if repair is None:
         # concurrent first calls compute the same event; the first stored wins

@@ -7,6 +7,11 @@ fall into the trap, release the event, and advance the tracked location.
 The tracked location always equals the state reached by the released word
 in the property automaton (and by its input projection in the input
 automaton), and it never becomes the trap.
+
+Each location's decisions are compiled on the first tick there into a row
+of two dict levels, so a tick is one lookup per side: the observed input
+gives the released input and its output dict, and the observed output
+gives the released event and the next location.
 """
 
 from __future__ import annotations
@@ -91,14 +96,21 @@ class Enforcer:
     enforceability report if the automaton has dead locations.  The
     enforcers of one automaton object that are alive at once share one
     ``edit_sets``, built by the first of them, so it is read-only by
-    contract; only the table is each enforcer's own.  ``tick`` keeps
-    the observed input if it is in the safe inputs at the current
-    location, and then the program's output if it is in the safe outputs
-    given the released input; only a vector it cannot keep goes to
-    ``_repair``, which checks it and asks the policy.  The next location
-    is one read of the automaton's ``table``; the program is passed to
-    each ``tick`` or ``run`` call.  A single instance is single-owner:
-    only ``tick`` mutates it, and only after the program has returned.
+    contract; only the table is each enforcer's own.
+
+    Nothing else is built at construction.  The first tick at a location
+    builds its row (see :meth:`_row`) from the safe sets, the table and
+    the automaton's transitions, and later ticks there read it: the
+    observed input if it is in the safe inputs at the location, and then
+    the program's output if it is in the safe outputs given the released
+    input, are kept.  Under ``lex`` and ``seeded-random`` every other
+    vector of the interface maps to the table's pick; under ``nearest``
+    it misses the row and goes to ``_repair``, which checks it and asks
+    ``choose_nearest`` on every such tick.  The program is passed to each
+    ``tick`` or ``run`` call.  A single instance is single-owner: only
+    ``tick`` changes its state, and only after the program has returned;
+    the row a tick builds before that is a cache, keyed by valid vectors
+    only.
     """
 
     def __init__(
@@ -120,6 +132,8 @@ class Enforcer:
         self._restored = (self.location, 0)
         self._in_width = len(automaton.alphabet.inputs)
         self._out_width = len(automaton.alphabet.outputs)
+        self._events = automaton.alphabet.events
+        self._rows: dict[str, dict] = {}  # location -> its decisions, built on first tick there
 
     def reset(self) -> None:
         self.location = self.automaton.initial
@@ -171,54 +185,89 @@ class Enforcer:
         ValueError; a bad input does so before the program is called.  If
         anything raises, the enforcer's state is unchanged.
 
-        A vector in its safe set is kept, and one is valid, so only an
-        edited tick checks the observed vector it repairs.  Once both
-        vectors are known valid, the observed and the released event are
-        each one lookup at their pair's code in
-        :attr:`~syncguard.bits.Alphabet.events`.  The record stores the
-        two events; a side's edit flag is read off them, as a repair
-        never picks the observed vector (it is not in the safe set).
+        Each side is one lookup in the current location's row, built on
+        the first tick there.  A row's keys are vectors of the interface,
+        so a vector found is valid; only a miss (a ``nearest`` repair, or
+        a vector that is not the interface's) goes to ``_repair``, which
+        checks it first.  Once both vectors are known valid, the observed
+        event is one lookup at their pair's code in
+        :attr:`~syncguard.bits.Alphabet.events`; the released event and
+        the next location come from the row.  The record stores the two
+        events; a side's edit flag is read off them, as a repair never
+        picks the observed vector (it is not in the safe set).
         """
+        rows = self._rows
         q = self.location
-        sets = self.edit_sets
-        safe = sets.safe_inputs[q]
+        row = rows.get(q)
+        if row is None:
+            row = rows[q] = self._row(q)
         try:
-            input_kept = inputs in safe
-        except TypeError:  # unhashable, so not a BitVector
-            input_kept = False
-        x = inputs if input_kept else self._repair(safe, inputs, self._in_width, "input")
+            x, outs = row[inputs]
+        except (KeyError, TypeError):  # TypeError: unhashable, so not a BitVector
+            safe = self.edit_sets.safe_inputs[q]
+            x, outs = row[self._repair(safe, inputs, self._in_width, "input")]
         outputs = program(x)
-        safe = sets.safe_outputs[(q, x)]
         try:
-            output_kept = outputs in safe
-        except TypeError:
-            output_kept = False
-        y = outputs if output_kept else self._repair(
-            safe, outputs, self._out_width, "program output"
-        )
-
-        automaton = self.automaton
-        events = automaton.alphabet.events
-        out_width = self._out_width
-        released = events[(x.code << out_width) | y.code]
-        location = automaton.locations[automaton.table[automaton.index[q]][released.code]]
+            released, location = outs[outputs]
+        except (KeyError, TypeError):
+            safe = self.edit_sets.safe_outputs[(q, x)]
+            y = self._repair(safe, outputs, self._out_width, "program output")
+            released, location = outs[y]
         record = TickRecord(
-            self.ticks, events[(inputs.code << out_width) | outputs.code], released, location
+            self.ticks,
+            self._events[(inputs.code << self._out_width) | outputs.code],
+            released,
+            location,
         )
         self.location = location
         self.ticks += 1
         return record
 
+    def _row(self, q: str) -> dict:
+        """Location ``q``'s decisions: input vector -> (released input, output dict).
+
+        Each output dict maps an output vector to (released event, next
+        location).  The safe vectors map to themselves; under an
+        observed-independent policy every other vector of the interface
+        maps to the table's pick from its safe set, so only a ``nearest``
+        repair or a vector that is not the interface's misses.  The
+        output dicts hold at most one entry per event of ``q``.
+        """
+        automaton, sets, tables = self.automaton, self.edit_sets, self.tables
+        alphabet = automaton.alphabet
+        events, locations = alphabet.events, automaton.locations
+        successors = automaton.table[automaton.index[q]]
+        width = self._out_width
+        safe_inputs = sets.safe_inputs[q]
+        row = {}
+        for x in safe_inputs:
+            safe = sets.safe_outputs[(q, x)]
+            base = x.code << width
+            outs = {}
+            for y in safe:
+                released = events[base | y.code]
+                outs[y] = (released, locations[successors[released.code]])
+            if tables is not None:
+                pick = outs[tables[safe]]
+                for y in alphabet.output_events:
+                    outs.setdefault(y, pick)
+            row[x] = (x, outs)
+        if tables is not None:
+            pick = row[tables[safe_inputs]]
+            for x in alphabet.input_events:
+                row.setdefault(x, pick)
+        return row
+
     def _repair(self, safe: frozenset[BitVector], observed, width: int, role: str) -> BitVector:
-        """The policy's pick from a safe set the observed vector is not in.
+        """The ``nearest`` pick from a safe set the observed vector is not in.
 
         Checks first that the observed vector is a BitVector of the
-        interface's width (ValueError naming ``role`` if not).
+        interface's width (ValueError naming ``role`` if not).  Under the
+        other policies every valid vector has a row entry, so only a bad
+        one gets here, and raises.
         """
         _check_vector(observed, width, role)
-        if self.tables is None:
-            return choose_nearest(safe, observed)
-        return self.tables[safe]
+        return choose_nearest(safe, observed)
 
     def run(self, env: Iterable[BitVector], program: TickFunction) -> list[TickRecord]:
         """Fold ``tick`` over an input sequence."""

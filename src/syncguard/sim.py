@@ -9,15 +9,20 @@ which gives the same sequence: CPython fills a wide draw with successive
 32-bit outputs, least significant word first, and the module's tests pin
 the bulk draw to the per-tick definition.
 
-Benchmarks time the same program over the same environment twice, bare
-and wrapped in an enforcer, back to back with a monotonic clock, and
-alternate which of the pair goes first.  After a discarded warm-up pair,
-the overhead is the median of the per-pair differences over the
-configured runs, so host drift slower than one pair cancels.
+Benchmarks time the same program twice over the same environment, bare
+and wrapped in an enforcer, with a monotonic clock.  Each run is cut into
+blocks of :data:`BLOCK_TICKS` ticks; each block is timed on both sides
+back to back, and the side that goes first alternates from block to block
+and from run to run.  Each side has its own copy of the program, and the
+bare one is fed the inputs the enforced one is given, so the two copies
+go through the same states.  The overhead is the median of the per-block
+differences over the configured runs, after an untimed enforced run that
+finds those inputs, so host drift slower than one block cancels.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import statistics
 import sys
@@ -135,51 +140,64 @@ class BenchResult:
         )
 
 
+BLOCK_TICKS = 40  # ticks per timed block; bench pairs the two sides block by block
+
+
 def bench(
     automaton: SafetyAutomaton,
     program: TickFunction,
     config: SimConfig,
 ) -> BenchResult:
-    """Per-tick time over ``config.runs`` pairs of ``config.ticks``-tick
-    runs, bare versus enforced, same seeded environment for both; see the
-    module docstring for the pairing.
+    """Per-tick time, bare versus enforced, over ``config.runs`` passes of
+    ``config.ticks`` ticks of one seeded environment; see the module
+    docstring for the pairing.
 
-    The program must expose ``reset()``; it is reset before every run so
-    both sides see identical program-state evolution.
+    The program must expose ``reset()``, and be copyable with
+    :func:`copy.deepcopy`: the bare side runs a copy of it, so each side's
+    program keeps its own state from block to block.  The bare copy is fed
+    the inputs the enforced program is given (the released ones), so both
+    go through the same states; each pass resets both and the enforcer.
     """
     if config.ticks < 1:
         raise ValueError("benchmarking needs at least one tick")
     env = random_inputs(automaton.alphabet, config.ticks, config.seed)
     enforcer = Enforcer(automaton, config.policy, config.seed)
+    bare = copy.deepcopy(program)
+    program.reset()
+    fixed = [enforcer.tick(x, program).released.input for x in env]
+    blocks = [
+        (env[lo : lo + BLOCK_TICKS], fixed[lo : lo + BLOCK_TICKS])
+        for lo in range(0, len(env), BLOCK_TICKS)
+    ]
 
-    def plain_run() -> float:
-        program.reset()
+    def plain_block(inputs) -> float:
         start = time.perf_counter()
-        for x in env:
-            program(x)
-        return (time.perf_counter() - start) / len(env)
+        for x in inputs:
+            bare(x)
+        return (time.perf_counter() - start) / len(inputs)
 
-    def enforced_run() -> float:
-        program.reset()
-        enforcer.reset()
+    def enforced_block(inputs) -> float:
+        tick = enforcer.tick
         start = time.perf_counter()
-        for x in env:
-            enforcer.tick(x, program)
-        return (time.perf_counter() - start) / len(env)
+        for x in inputs:
+            tick(x, program)
+        return (time.perf_counter() - start) / len(inputs)
 
-    plain_run()  # warm-up, discarded
-    enforced_run()
     plain_times = []
     differences = []
-    for i in range(config.runs):
-        if i % 2:
-            enforced = enforced_run()
-            plain = plain_run()
-        else:
-            plain = plain_run()
-            enforced = enforced_run()
-        plain_times.append(plain)
-        differences.append(enforced - plain)
+    for run in range(config.runs):
+        bare.reset()
+        program.reset()
+        enforcer.reset()
+        for k, (observed, released) in enumerate(blocks):
+            if (run + k) % 2:
+                enforced = enforced_block(observed)
+                plain = plain_block(released)
+            else:
+                plain = plain_block(released)
+                enforced = enforced_block(observed)
+            plain_times.append(plain)
+            differences.append(enforced - plain)
     plain = statistics.median(plain_times)
     return BenchResult(
         mean_tick_plain=plain,

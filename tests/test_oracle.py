@@ -13,6 +13,7 @@ import syncguard.harness
 from syncguard import (
     NEAREST,
     POLICIES,
+    SEEDED_RANDOM,
     Alphabet,
     BitVector,
     Enforcer,
@@ -634,6 +635,33 @@ class TestOracleRepairMemo:
         by_policy = {oracle_step(a, (), observed, policy, 0) for policy in POLICIES}
         assert len(by_policy) > 1
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_seed_sweep_keys_by_the_seed_only_where_it_picks(self, policy):
+        def sweep(seeds):
+            a = copy.copy(mutual_exclusion())
+            events = a.alphabet.events
+            prefixes = [
+                w for n in range(3) for w in itertools.product(events, repeat=n) if a.accepts(w)
+            ]
+            answers = {
+                (released, observed, seed): oracle_step(a, released, observed, policy, seed)
+                for seed in seeds
+                for released in prefixes
+                for observed in events
+            }
+            return a, answers
+
+        one, _ = sweep([0])
+        swept, answers = sweep(range(100))
+        if policy == SEEDED_RANDOM:
+            assert len(swept._oracle_repairs) > len(one._oracle_repairs)
+            colds = {}  # one cold copy per seed, so no seed sees another's entries
+            for (released, observed, seed), warm in answers.items():
+                cold = colds.setdefault(seed, copy.copy(swept))
+                assert oracle_step(cold, released, observed, policy, seed) is warm
+        else:
+            assert len(swept._oracle_repairs) == len(one._oracle_repairs) > 0
+
     def test_copies_and_pickles_start_empty(self):
         a = copy.copy(mutual_exclusion())
         oracle_step(a, (), ev("11/1"), NEAREST)
@@ -705,7 +733,9 @@ ORACLE_IMPORTS = {
     "typing": {"Optional"},
     "automata": {"SafetyAutomaton"},
     "bits": {"BitVector", "Event", "Word"},
-    "editing": {"NEAREST", "POLICIES", "canonical_policy", "check_seed", "select"},
+    "editing": {
+        "NEAREST", "POLICIES", "SEEDED_RANDOM", "canonical_policy", "check_seed", "select",
+    },
 }
 
 

@@ -17,6 +17,7 @@ from syncguard import (
     NEAREST,
     POLICIES,
     SEEDED_RANDOM,
+    Alphabet,
     BitVector,
     ConstantProgram,
     Enforcer,
@@ -33,6 +34,7 @@ from syncguard import (
     parse_automaton,
     parse_program,
     project_inputs,
+    random_enforceable_automata,
     random_inputs,
     simulate,
 )
@@ -772,3 +774,105 @@ class TestSharedEditSets:
         for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert copied == a and hash(copied) == hash(a)
             assert copied._edit_sets is None
+
+
+POLICY_NAMES = ("nearest", "lex", "lexicographic", "random", "seeded-random")
+
+
+def _row_contents(enforcer):
+    """Each built row as plain data: location -> input -> (released input, outputs)."""
+    return {
+        q: {x: (fixed, dict(outs)) for x, (fixed, outs) in row.items()}
+        for q, row in enforcer._rows.items()
+    }
+
+
+class TestRows:
+    """Each location's decisions are built on the first tick there and
+    read back with one lookup per side; they release what the safe sets
+    and the policy's pick define."""
+
+    def test_rows_release_what_the_sets_and_the_policy_define(
+        self, enforceable_family, random_family
+    ):
+        # the slice has one output bit, so an output repair there has one
+        # candidate; two-output automata make the output pick a choice
+        two_outputs = random_enforceable_automata(
+            Alphabet(("A",), ("R", "S")), count=6, max_accepting=3, seed=1
+        )
+        slice_ = [mutual_exclusion()] + enforceable_family[::250] + random_family[::20]
+        for a in slice_ + two_outputs:
+            alphabet, locations = a.alphabet, a.locations
+            for policy in POLICY_NAMES:
+                for seed in range(4):
+                    enforcer = Enforcer(a, policy, seed)
+                    sets = enforcer.edit_sets
+                    for q in a.accepting_locations:
+                        successors = a.table[a.index[q]]
+                        safe_inputs = sets.safe_inputs[q]
+                        for x in alphabet.input_events:
+                            fixed_x = x
+                            if x not in safe_inputs:
+                                fixed_x = select(safe_inputs, x, policy, seed)
+                            safe_outputs = sets.safe_outputs[(q, fixed_x)]
+                            for y in alphabet.output_events:
+                                fixed_y = y
+                                if y not in safe_outputs:
+                                    fixed_y = select(safe_outputs, y, policy, seed)
+                                enforcer.restore((q, 0))
+                                record = enforcer.tick(x, lambda _: y)
+                                released = alphabet.event(fixed_x, fixed_y)
+                                assert record.released is released, (policy, seed, q, x, y)
+                                assert record.observed is alphabet.event(x, y)
+                                assert record.state_after == locations[successors[released.code]]
+                    # at most one output entry per event of a visited location
+                    for q, row in enforcer._rows.items():
+                        outs = {id(o): o for _, o in row.values()}
+                        assert len(outs) == len(sets.safe_inputs[q])
+                        assert sum(map(len, outs.values())) <= len(alphabet.events)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("side", ["input", "program output"])
+    @pytest.mark.parametrize(
+        "bad", [bv("111"), 1, "10", [1, 0]], ids=["wrong-width", "int", "str", "unhashable"]
+    )
+    def test_a_bad_vector_raises_and_adds_no_row_entry(self, policy, side, bad):
+        a = mutual_exclusion()
+        enforcer = Enforcer(a, policy, seed=1)
+        for q in a.accepting_locations:  # build every row
+            enforcer.restore((q, 0))
+            enforcer.tick(bv("10"), lambda _: bv("1"))
+        before, rows = enforcer.snapshot(), _row_contents(enforcer)
+        assert set(rows) == set(a.accepting_locations)
+        inputs, outputs = (bad, bv("1")) if side == "input" else (bv("01"), bad)
+        with pytest.raises(ValueError, match=side):
+            enforcer.tick(inputs, lambda _: outputs)
+        assert enforcer.snapshot() == before
+        assert _row_contents(enforcer) == rows
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rows_are_built_on_the_first_tick_at_a_location(self, policy):
+        a = mutual_exclusion()
+        enforcer = Enforcer(a, policy, seed=1)
+        assert enforcer._rows == {}
+        enforcer.tick(bv("00"), lambda _: bv("0"))
+        assert list(enforcer._rows) == [a.initial]
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_only_nearest_sends_a_valid_vector_to_repair(self, monkeypatch, policy):
+        repairs = []
+        repair = Enforcer._repair
+
+        def counted(self, *args):
+            repairs.append(args)
+            return repair(self, *args)
+
+        monkeypatch.setattr(Enforcer, "_repair", counted)
+        random19 = normalize(parse_automaton((GOLDEN / "random19.aut").read_text()))
+        for a in (mutual_exclusion(), random19):
+            enforcer = Enforcer(a, policy, seed=3)
+            for q in a.accepting_locations:
+                for event in a.alphabet.events:
+                    enforcer.restore((q, 0))
+                    enforcer.tick(event.input, lambda _, y=event.output: y)
+        assert bool(repairs) == (policy == NEAREST)
