@@ -1,19 +1,21 @@
-"""Bounded constraint checking of an enforcement function.
+"""Bounded constraint checking of the runtime enforcer.
 
 :func:`check_constraints` enumerates every observed word up to a length
-bound and checks the six defining enforcer constraints literally as
-quantified, reporting the first counterexample per constraint.  It reads
-the automaton and the released words; by default the released words come
-from the runtime :class:`~syncguard.runtime.Enforcer`, so this module, not
-the word-level oracle, is where the two meet.  Causality is checked on
-sibling words that differ only in their last output; the input projection
-is not read.
+bound, releases each through the runtime :class:`~syncguard.runtime.Enforcer`
+and checks the six defining enforcer constraints, reporting the first
+counterexample per constraint.  It checks a transducer, so it takes
+shortcuts that hold for one (each argued in its docstring); the literal
+reading of the constraints, for any word function, is
+``tests/constraint_spec.py``, and the tests compare the two.  It reads the
+automaton and the released words, so this module, not the word-level
+oracle, is where the two meet.  Causality is checked on sibling words that
+differ only in their last output; the input projection is not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .automata import SafetyAutomaton
 from .bits import Event, Word
@@ -59,9 +61,8 @@ def check_constraints(
     policy: str = NEAREST,
     max_len: int = 4,
     seed: Optional[int] = None,
-    enforce: Optional[Callable[[Word], Word]] = None,
 ) -> ConstraintReport:
-    """Check the six enforcer constraints over all words up to ``max_len``.
+    """Check the runtime enforcer's six constraints over all words up to ``max_len``.
 
     For every observed word w (depth-first, events in declaration order):
 
@@ -80,33 +81,28 @@ def check_constraints(
     The walk is one loop over a stack of pending children.  A word that
     has children (one below ``max_len``) becomes a frame: its observed
     word, the location of its released word (a number), the released
-    input per observed input of its children, and the runtime's snapshot
-    or, for a custom ``enforce``, the released word.  A pending child is
-    its frame, its last event, that event's program and the child's
-    observed location, one lookup in
+    input per observed input of its children, and the runtime's snapshot.
+    A pending child is its frame, its last event, that event's program
+    and the child's observed location, one lookup in
     :attr:`~syncguard.automata.SafetyAutomaton.table` from its parent's.
     A frame's children are pushed in reverse event order, each released
-    only when popped, so words are checked, and the enforcer called, in
-    the order above.  A child's observed word is built only when it
-    becomes a frame, when it fails a constraint (it is the
-    counterexample), or for a custom ``enforce``, which is given it.
+    only when popped, so words are checked, and the runtime ticked, in the
+    order above.  A child's observed word is built only when it becomes a
+    frame or when it fails a constraint (it is the counterexample).
 
     The runtime releases every child by a ``restore`` of its parent's
     snapshot and one ``tick``, and is asked for a ``snapshot`` only of a
     word that becomes a frame; nothing else is read from it.  Its program
     is one :class:`ConstantProgram` per event, built once per call, which
     answers with the word's last observed output because the runtime
-    calls the program exactly once per tick.  Its released word is the
-    parent's plus the tick's event, so it is monotone and instantaneous by
-    construction and is never built.  A custom ``enforce``'s released
-    word is compared with its parent's: monotonicity is checked against
-    the parent alone (the first word whose released word misses an
-    ancestor's also misses its parent's, since the parent's extends every
-    ancestor's), and one that does not extend its parent's by one event
-    is walked again from the initial location.  Otherwise the released
-    location is one lookup from the parent's (the event's code is read
-    through :meth:`~syncguard.bits.Alphabet.code`, which refuses an event
-    not in the alphabet), and every constraint is a lookup or a
+    calls the program exactly once per tick.  A transducer releases the
+    empty word for the empty word, whose location, the initial one, is
+    never the trap, so the empty word passes every check and is counted
+    only.  Every other released word is the parent's plus the tick's
+    event, so monotone and instantaneous by construction, and is never
+    built: its location is one lookup from the parent's (the event's code
+    is read through :meth:`~syncguard.bits.Alphabet.code`, which refuses
+    an event not in the alphabet), and every constraint is a lookup or a
     comparison of last events.  Weak transparency compares the last
     events alone, with the verdict and first counterexample of the whole
     words' comparison: the first accepted word that is released changed
@@ -114,15 +110,13 @@ def check_constraints(
     Causality compares a child's released input with the one its frame
     recorded for the first sibling of the same observed input.
 
-    ``enforce`` overrides the enforcement function under test (defaults to
-    the runtime enforcer with the given policy); counterexamples are
-    observed words.  Raises ``ValueError`` for a malformed seed (see
-    :func:`~syncguard.editing.check_seed`), a ``max_len`` that is not an
-    int (a bool is not one) or is negative, when the enumeration would
-    exceed :data:`WORD_BUDGET` words (counted level by level, stopping
-    once past it), for a ``max_len`` above :data:`MAX_DEPTH` (the walk's
-    cost grows with the square of the depth), or when a released event is
-    not in the alphabet.
+    Counterexamples are observed words.  Raises ``ValueError`` for a
+    malformed seed (see :func:`~syncguard.editing.check_seed`), a
+    ``max_len`` that is not an int (a bool is not one) or is negative,
+    when the enumeration would exceed :data:`WORD_BUDGET` words (counted
+    level by level, stopping once past it), for a ``max_len`` above
+    :data:`MAX_DEPTH` (the walk's cost grows with the square of the
+    depth), or when a released event is not in the alphabet.
     """
     _check_int("max_len", max_len)
     if max_len < 0:
@@ -139,9 +133,8 @@ def check_constraints(
     if max_len > MAX_DEPTH:
         raise ValueError(f"max_len must be at most {MAX_DEPTH}, got {max_len}")
 
-    if enforce is None:
-        runtime = Enforcer(automaton, policy, seed)
-        restore, tick, snapshot = runtime.restore, runtime.tick, runtime.snapshot
+    runtime = Enforcer(automaton, policy, seed)
+    restore, tick, snapshot = runtime.restore, runtime.tick, runtime.snapshot
     children = [(e, ConstantProgram(alphabet, e.output)) for e in reversed(alphabet.events)]
     table, code = automaton.table, alphabet.code
     trap = automaton.index[automaton.violating]
@@ -149,33 +142,20 @@ def check_constraints(
     results = {name: True for name in CONSTRAINTS}
     counterexamples: dict[str, Word] = {}
 
-    def fail(name: str, prefix: Word, *last: Event) -> None:
+    def fail(name: str, prefix: Word, event: Event) -> None:
         if results[name]:
             results[name] = False
-            counterexamples[name] = prefix + last
+            counterexamples[name] = prefix + (event,)
 
-    # the root, the empty word: only its own three checks apply
-    observed_at = automaton.index[automaton.initial]
-    released = () if enforce is None else enforce(())
-    released_at = automaton.walk(released)
-    if released_at == trap:
-        fail("soundness", ())
-    if len(released) != 0:
-        fail("instantaneity", ())
-    if observed_at != trap and released != ():
-        fail("weak_transparency", ())
-    # a frame is a word with children: (observed word, released word (a
-    # custom enforce's only), released location, the released input per
-    # observed input of its children, snapshot (the runtime's only)); a
+    # a frame is a word with children: (observed word, released location,
+    # the released input per observed input of its children, snapshot); a
     # pending child is (frame, its last event, that event's program, its
     # observed location)
     pending = []
     if max_len:
-        if enforce is None:
-            frame = ((), None, released_at, {}, snapshot())
-        else:
-            frame = ((), released, released_at, {}, None)
-        row = table[observed_at]
+        initial = automaton.index[automaton.initial]
+        frame = ((), initial, {}, snapshot())
+        row = table[initial]
         pending += [(frame, event, program, row[event.code]) for event, program in children]
     words = 1
     current = None
@@ -184,28 +164,11 @@ def check_constraints(
         words += 1
         if frame is not current:
             current = frame
-            prefix, parent_released, parent_at, fixed_inputs, parent_snap = frame
+            prefix, parent_at, fixed_inputs, parent_snap = frame
             parents = len(prefix) + 1 < max_len  # its children get children
-        if enforce is None:
-            # the parent's released word plus this tick's event, so monotone
-            # and instantaneous by construction
-            restore(parent_snap)
-            last = tick(event.input, program).released
-            released_at = table[parent_at][code(last)]
-        else:
-            observed = prefix + (event,)
-            released = enforce(observed)
-            monotone = released[: len(parent_released)] == parent_released
-            if not monotone:
-                fail("monotonicity", observed)
-            if len(released) != len(observed):
-                fail("instantaneity", observed)
-            if monotone and len(released) == len(parent_released) + 1:
-                last = released[-1]
-                released_at = table[parent_at][code(last)]
-            else:
-                last = None
-                released_at = automaton.walk(released)
+        restore(parent_snap)
+        last = tick(event.input, program).released
+        released_at = table[parent_at][code(last)]
         if released_at == trap:
             fail("soundness", prefix, event)
         # the first accepted word released changed has a parent that is
@@ -218,16 +181,12 @@ def check_constraints(
         # causality: one safe event whose input was fixed before the
         # output was seen, so siblings differing only in it agree on it
         if (
-            last is None
-            or released_at == trap
+            released_at == trap
             or fixed_inputs.setdefault(event.input, last.input) is not last.input
         ):
             fail("causality", prefix, event)
         if parents:
-            if enforce is None:
-                here = (prefix + (event,), None, released_at, {}, snapshot())
-            else:
-                here = (observed, released, released_at, {}, None)
+            here = (prefix + (event,), released_at, {}, snapshot())
             row = table[observed_at]
             pending += [(here, event, program, row[event.code]) for event, program in children]
 

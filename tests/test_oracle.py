@@ -38,6 +38,8 @@ from syncguard.editing import canonical_policy, choose_nearest, select
 from syncguard.harness import MAX_DEPTH, WORD_BUDGET
 from syncguard.oracle import oracle_step
 
+from .constraint_spec import check_literally
+
 
 def ev(text):
     return Event.from_text(text)
@@ -168,6 +170,89 @@ class TestCheckConstraints:
             for observed in itertools.product(alpha_11.events, repeat=length):
                 assert enforce_word(a, observed) == observed
 
+    def test_transparency_implies_weak_transparency(self, enforceable_family):
+        for a in enforceable_family[::100]:
+            for policy in POLICIES:
+                report = check_constraints(a, policy, max_len=3, seed=7)
+                if report.results["transparency"]:
+                    assert report.results["weak_transparency"]
+
+    def test_enumeration_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=8)
+
+    def test_budget_checked_without_counting_every_word(self):
+        # the count is never formed: it would have 6000 digits here
+        with pytest.raises(ValueError, match="enumeration budget exceeded"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=10_000)
+        # one event per level: the check stops once the budget is passed
+        single = Alphabet((), ())
+        (event,) = single.events
+        a = SafetyAutomaton(
+            single, ("q0", "qv"), "q0", "qv", {("q0", event): "q0", ("qv", event): "qv"}
+        )
+        with pytest.raises(ValueError, match=f"more than {WORD_BUDGET} words"):
+            check_constraints(a, NEAREST, max_len=10**9)
+
+    @pytest.mark.parametrize("max_len", [MAX_DEPTH + 1, 3000, 100_000, WORD_BUDGET - 1])
+    def test_depth_past_the_bound_rejected(self, max_len):
+        # one event per level: within the word budget, but past the depth bound
+        a = always_accepting(Alphabet.null())
+        message = f"^max_len must be at most {MAX_DEPTH}, got {max_len}$"
+        with pytest.raises(ValueError, match=message):
+            check_constraints(a, NEAREST, max_len=max_len)
+
+    def test_every_depth_up_to_the_bound_walked(self, monkeypatch):
+        snapshots = []
+        snapshot = Enforcer.snapshot
+        monkeypatch.setattr(Enforcer, "snapshot", lambda self: snapshots.append(1) or snapshot(self))
+        a = always_accepting(Alphabet.null())
+        report = check_constraints(a, NEAREST, max_len=MAX_DEPTH)
+        assert report.passed and report.words_checked == MAX_DEPTH + 1
+        # the runtime snapshots each word with children, every one but the deepest
+        assert len(snapshots) == MAX_DEPTH
+
+    def test_word_budget_binds_before_the_depth_bound_from_two_events(self):
+        # every bound accepted on two or more events is under the depth bound
+        a = always_accepting(Alphabet(("A",), ()))
+        assert len(a.alphabet.events) == 2
+        with pytest.raises(ValueError, match="^enumeration budget exceeded"):
+            check_constraints(a, NEAREST, max_len=MAX_DEPTH)
+
+    def test_negative_max_len_rejected(self):
+        with pytest.raises(ValueError, match="max_len"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=-1)
+
+    @pytest.mark.parametrize("max_len", [2.5, True, "2", None])
+    def test_max_len_that_is_not_an_int_rejected(self, max_len):
+        # a float would fail in range(); True would walk as 1
+        with pytest.raises(ValueError, match=f"^max_len must be an int, got {max_len!r}$"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=max_len)
+
+    def test_foreign_event_from_the_runtime_raises(self, monkeypatch):
+        monkeypatch.setattr(syncguard.harness, "Enforcer", _releasing(ev("101/1")))
+        with pytest.raises(ValueError, match="width"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=2)
+
+    def test_foreign_event_with_an_in_range_code_raises(self, monkeypatch):
+        # 1/11 has code (1 << 2) | 3 == 7 over two inputs and one output,
+        # the code of 11/1: a lookup by code alone would step it as 11/1
+        monkeypatch.setattr(syncguard.harness, "Enforcer", _releasing(ev("1/11")))
+        with pytest.raises(ValueError, match="^event width mismatch: 1/11 not in the alphabet$"):
+            check_constraints(mutual_exclusion(), NEAREST, max_len=1)
+
+    def test_rejects_dead_automata(self):
+        from syncguard import NotEnforceableError
+
+        with pytest.raises(NotEnforceableError):
+            check_constraints(at_most_one_tick(), NEAREST, max_len=2)
+
+
+class TestConstraintSpec:
+    """Word functions that break constraints, through the literal reading
+    in ``constraint_spec``; each of the last three is aimed at a shortcut
+    ``check_constraints`` takes for a transducer."""
+
     def test_broken_enforcer_fails_soundness(self):
         # mutant that skips the output check entirely
         a = mutual_exclusion()
@@ -191,7 +276,7 @@ class TestCheckConstraints:
                 released = released + (alphabet.event(x, event.output),)
             return released
 
-        report = check_constraints(a, NEAREST, max_len=4, enforce=broken)
+        report = check_literally(a, broken, 4)
         assert not report.results["soundness"]
         counterexample = report.counterexamples["soundness"]
         assert not a.accepts(broken(counterexample))
@@ -204,7 +289,7 @@ class TestCheckConstraints:
         # trap breaks the three checks the root has, each at the root
         a = mutual_exclusion()
         into_trap = next(e for e in a.alphabet.events if not a.accepts((e,)))
-        report = check_constraints(a, NEAREST, max_len=0, enforce=lambda observed: (into_trap,))
+        report = check_literally(a, lambda observed: (into_trap,), 0)
         failed = {"soundness", "instantaneity", "weak_transparency"}
         assert {name for name, ok in report.results.items() if not ok} == failed
         assert report.counterexamples == {name: () for name in failed}
@@ -237,7 +322,7 @@ class TestCheckConstraints:
                 released = released + (alphabet.event(x, y),)
             return released
 
-        report = check_constraints(a, NEAREST, max_len=3, enforce=output_steered)
+        report = check_literally(a, output_steered, 3)
         assert not report.results["causality"], report
         for name in ("soundness", "monotonicity", "instantaneity"):
             assert report.results[name], report
@@ -247,94 +332,79 @@ class TestCheckConstraints:
         sibling = counterexample[:-1] + (alphabet.event(last.input, flipped),)
         assert output_steered(counterexample)[-1].input != output_steered(sibling)[-1].input
 
-    def test_transparency_implies_weak_transparency(self, enforceable_family):
-        for a in enforceable_family[::100]:
-            for policy in POLICIES:
-                report = check_constraints(a, policy, max_len=3, seed=7)
-                if report.results["transparency"]:
-                    assert report.results["weak_transparency"]
+    def test_monotonicity_broken_against_a_grandparent_only(self, alpha_11):
+        # from length 2 on, the first event is released as the last event
+        # of the alphabet: (e0, e0, e0) releases a word that extends its
+        # parent's but not its grandparent's, and its parent (e0, e0),
+        # walked first, fails against its own parent, so it is the
+        # counterexample
+        a = always_accepting(alpha_11)
+        e0, last = alpha_11.events[0], alpha_11.events[-1]
 
-    def test_enumeration_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            check_constraints(mutual_exclusion(), NEAREST, max_len=8)
+        def rewrites_the_first_event(observed):
+            return observed if len(observed) < 2 else (last,) + observed[1:]
 
-    def test_budget_checked_without_counting_every_word(self):
-        # the count is never formed: it would have 6000 digits here
-        with pytest.raises(ValueError, match="enumeration budget exceeded"):
-            check_constraints(mutual_exclusion(), NEAREST, max_len=10_000)
-        # one event per level: the check stops once the budget is passed
-        single = Alphabet((), ())
-        (event,) = single.events
-        a = SafetyAutomaton(
-            single, ("q0", "qv"), "q0", "qv", {("q0", event): "q0", ("qv", event): "qv"}
-        )
-        with pytest.raises(ValueError, match=f"more than {WORD_BUDGET} words"):
-            check_constraints(a, NEAREST, max_len=10**9)
+        report = check_literally(a, rewrites_the_first_event, 3)
+        failed = {"monotonicity", "transparency", "causality", "weak_transparency"}
+        assert {name for name, ok in report.results.items() if not ok} == failed
+        assert report.counterexamples == {name: (e0, e0) for name in failed}
+        assert report.words_checked == 1 + 4 + 16 + 64
 
-    @pytest.mark.parametrize("max_len", [MAX_DEPTH + 1, 3000, 100_000, WORD_BUDGET - 1])
-    def test_depth_past_the_bound_rejected(self, max_len):
-        # one event per level: within the word budget, but past the depth bound,
-        # with the runtime and with a custom enforcement function
-        a = always_accepting(Alphabet.null())
-        message = f"^max_len must be at most {MAX_DEPTH}, got {max_len}$"
-        for enforce in (None, lambda observed: observed):
-            with pytest.raises(ValueError, match=message):
-                check_constraints(a, NEAREST, max_len=max_len, enforce=enforce)
-
-    @pytest.mark.parametrize("enforce", [None, lambda observed: observed], ids=["runtime", "custom"])
-    def test_every_depth_up_to_the_bound_walked(self, enforce, monkeypatch):
-        snapshots = []
-        snapshot = Enforcer.snapshot
-        monkeypatch.setattr(Enforcer, "snapshot", lambda self: snapshots.append(1) or snapshot(self))
-        a = always_accepting(Alphabet.null())
-        report = check_constraints(a, NEAREST, max_len=MAX_DEPTH, enforce=enforce)
-        assert report.passed and report.words_checked == MAX_DEPTH + 1
-        # the runtime snapshots each word with children, every one but the deepest
-        assert len(snapshots) == (MAX_DEPTH if enforce is None else 0)
-
-    def test_word_budget_binds_before_the_depth_bound_from_two_events(self):
-        # every bound accepted on two or more events is under the depth bound
-        a = always_accepting(Alphabet(("A",), ()))
-        assert len(a.alphabet.events) == 2
-        with pytest.raises(ValueError, match="^enumeration budget exceeded"):
-            check_constraints(a, NEAREST, max_len=MAX_DEPTH)
-
-    def test_negative_max_len_rejected(self):
-        with pytest.raises(ValueError, match="max_len"):
-            check_constraints(mutual_exclusion(), NEAREST, max_len=-1)
-
-    @pytest.mark.parametrize("max_len", [2.5, True, "2", None])
-    def test_max_len_that_is_not_an_int_rejected(self, max_len):
-        # a float would fail in range(); True would walk as 1
-        with pytest.raises(ValueError, match=f"^max_len must be an int, got {max_len!r}$"):
-            check_constraints(mutual_exclusion(), NEAREST, max_len=max_len)
-
-    def test_foreign_event_from_custom_enforce_raises(self):
+    def test_a_non_empty_answer_to_the_empty_word(self):
+        # the empty word is released as one safe event, every other word as
+        # the oracle releases it: the root breaks instantaneity and weak
+        # transparency, and its children causality, transparency and, where
+        # they do not release that event, monotonicity
         a = mutual_exclusion()
-        wide = ev("101/1")
+        first = a.alphabet.events[0]
 
-        def wrong_width(observed):
-            return tuple(wide for _ in observed)
+        def answers_the_empty_word(observed):
+            return oracle_enforce(a, observed) if observed else (first,)
 
-        with pytest.raises(ValueError, match="width"):
-            check_constraints(a, NEAREST, max_len=2, enforce=wrong_width)
+        report = check_literally(a, answers_the_empty_word, 2)
+        assert report.results == {
+            "soundness": True,
+            "monotonicity": False,
+            "instantaneity": False,
+            "transparency": False,
+            "causality": False,
+            "weak_transparency": False,
+        }
+        assert report.counterexamples == {
+            "instantaneity": (),
+            "weak_transparency": (),
+            "causality": (ev("00/0"),),
+            "transparency": (ev("00/0"),),
+            "monotonicity": (ev("00/1"),),
+        }
+        assert report.words_checked == 1 + 8 + 64
 
-    def test_foreign_event_with_an_in_range_code_raises(self):
-        # 1/11 has code (1 << 2) | 3 == 7 over two inputs and one output,
-        # the code of 11/1: a lookup by code alone would step it as 11/1
-        foreign = ev("1/11")
+    def test_released_word_one_event_short_at_depth_two(self):
+        # the oracle's words with the last event dropped at length 2 only:
+        # still sound and monotone, and a length-3 word's release extends
+        # its parent's by two events, which causality refuses
+        a = mutual_exclusion()
 
-        def colliding(observed):
-            return tuple(foreign for _ in observed)
+        def short_at_two(observed):
+            released = oracle_enforce(a, observed)
+            return released[:-1] if len(observed) == 2 else released
 
-        with pytest.raises(ValueError, match="^event width mismatch: 1/11 not in the alphabet$"):
-            check_constraints(mutual_exclusion(), NEAREST, max_len=1, enforce=colliding)
+        report = check_literally(a, short_at_two, 3)
+        failed = {"instantaneity", "transparency", "causality", "weak_transparency"}
+        assert {name for name, ok in report.results.items() if not ok} == failed
+        assert report.counterexamples == {name: (ev("00/0"), ev("00/0")) for name in failed}
+        assert report.words_checked == 1 + 8 + 64 + 512
 
-    def test_rejects_dead_automata(self):
-        from syncguard import NotEnforceableError
 
-        with pytest.raises(NotEnforceableError):
-            check_constraints(at_most_one_tick(), NEAREST, max_len=2)
+def _releasing(event):
+    """An ``Enforcer`` whose every tick releases ``event``."""
+
+    class Releasing(Enforcer):
+        def tick(self, inputs, program):
+            record = super().tick(inputs, program)
+            return TickRecord(record.t, record.observed, event, record.state_after)
+
+    return Releasing
 
 
 def _report_text(report):
@@ -363,9 +433,11 @@ BROKEN_DIGEST = "b9a93b55c37d7c6517a74f2b61120ed0f472e49a73c18ff512fdd7390e243c0
 
 
 class TestPinnedReports:
-    """SHA-256 of ``check_constraints`` reports (verdicts, word counts and
-    first counterexamples), recorded before the oracle carried locations
-    along its word tree; the digests must not move."""
+    """SHA-256 of constraint reports (verdicts, word counts and first
+    counterexamples), recorded before the oracle carried locations along
+    its word tree; the digests must not move.  The runtime's come from
+    ``check_constraints``, the broken word functions' from the literal
+    reading in ``constraint_spec``."""
 
     def test_corpus_reports(self, enforceable_family, random_family):
         digest = hashlib.sha256()
@@ -380,7 +452,7 @@ class TestPinnedReports:
         automata = [mutual_exclusion()] + enforceable_family[::250] + random_family[::20]
         for a in automata:
             for name, enforce in _broken_enforcers(a).items():
-                report = check_constraints(a, NEAREST, max_len=3, enforce=enforce)
+                report = check_literally(a, enforce, 3)
                 digest.update(f"{name}\n{_report_text(report)}".encode())
         assert digest.hexdigest() == BROKEN_DIGEST
 
@@ -425,6 +497,29 @@ class _PeeksAtOutput(Enforcer):
         return super().tick(inputs, lambda _: output)
 
 
+class _RepairsTowardTheTrap(Enforcer):
+    """Where the runtime repairs the output, releases an unsafe output
+    instead: one other than the observed output if there is one, else the
+    observed output (over one output bit, always the latter).  The tracked
+    location follows the repaired event, so it is never the trap."""
+
+    def tick(self, inputs, program):
+        automaton = self.automaton
+        successors = automaton.table[automaton.index[self.location]]
+        record = super().tick(inputs, program)
+        if not record.output_edited:
+            return record
+        alphabet, trap = automaton.alphabet, automaton.index[automaton.violating]
+        x, observed = record.released.input, record.observed.output
+        unsafe = [
+            y
+            for y in alphabet.output_events
+            if y is not observed and successors[alphabet.event(x, y).code] == trap
+        ]
+        released = alphabet.event(x, unsafe[0] if unsafe else observed)
+        return TickRecord(record.t, record.observed, released, record.state_after)
+
+
 MUTANTS = {
     "skips_output_repair": _SkipsOutputRepair,
     "skips_input_repair": _SkipsInputRepair,
@@ -441,10 +536,10 @@ def mutant_slice(enforceable_family, random_family):
 
 
 class TestRuntimePathCounterexamples:
-    """The runtime path (no ``enforce``) with ``Enforcer`` replaced by a
-    mutant: its failed constraints and counterexamples are pinned, and
-    they equal the ones ``enforce=`` finds when it replays every word
-    through the same mutant."""
+    """``check_constraints`` with ``Enforcer`` replaced by a mutant: its
+    failed constraints and counterexamples are pinned, and they equal the
+    ones the literal reading finds when it replays every word through the
+    same mutant."""
 
     def test_mutant_reports_pinned(self, monkeypatch, mutant_slice):
         digest = hashlib.sha256()
@@ -462,19 +557,42 @@ class TestRuntimePathCounterexamples:
             assert failed, name
         assert digest.hexdigest() == MUTANT_DIGEST
 
-    @pytest.mark.parametrize("name", ["runtime"] + list(MUTANTS))
-    def test_runtime_path_agrees_with_replaying_each_word(self, monkeypatch, mutant_slice, name):
-        runtime = MUTANTS.get(name, Enforcer)
+    @staticmethod
+    def _agree(monkeypatch, mutant_slice, runtime):
+        """Compare both reports on every slice automaton and policy; the
+        failed constraints over the slice."""
         monkeypatch.setattr(syncguard.harness, "Enforcer", runtime)
+        failed = set()
         for a in mutant_slice:
             for policy in POLICIES:
                 enforcer = runtime(a, policy, 7)
-                by_word = check_constraints(
-                    a, policy, 4, 7, enforce=lambda w: enforce_word(enforcer, w)
-                )
+                by_word = check_literally(a, lambda w: enforce_word(enforcer, w), 4)
                 by_tick = check_constraints(a, policy, 4, 7)
-                assert _report_text(by_tick) == _report_text(by_word), (name, policy)
+                assert _report_text(by_tick) == _report_text(by_word), (runtime, policy)
                 assert by_tick.counterexamples == by_word.counterexamples
+                failed.update(c for c, ok in by_tick.results.items() if not ok)
+        return failed
+
+    @pytest.mark.parametrize("name", ["runtime"] + list(MUTANTS))
+    def test_runtime_path_agrees_with_replaying_each_word(self, monkeypatch, mutant_slice, name):
+        self._agree(monkeypatch, mutant_slice, MUTANTS.get(name, Enforcer))
+
+    def test_repair_toward_the_trap_flagged(self, monkeypatch, mutant_slice):
+        # kept out of MUTANTS, whose digest predates it
+        failed = self._agree(monkeypatch, mutant_slice, _RepairsTowardTheTrap)
+        assert "soundness" in failed
+
+    def test_repair_toward_the_trap_prefers_another_unsafe_output(self):
+        # two output bits, and only output 00 is safe: the runtime repairs
+        # 11 to 00, the mutant releases 01, the first other unsafe output
+        alphabet = Alphabet(("A",), ("B", "C"))
+        safe = alphabet.output_vector("00")
+        delta = {("q0", e): "q0" if e.output == safe else "qv" for e in alphabet.events}
+        delta.update({("qv", e): "qv" for e in alphabet.events})
+        a = SafetyAutomaton(alphabet, ("q0", "qv"), "q0", "qv", delta)
+        inputs, observed = alphabet.input_vector("1"), alphabet.output_vector("11")
+        assert Enforcer(a).tick(inputs, lambda _: observed).released == ev("1/00")
+        assert _RepairsTowardTheTrap(a).tick(inputs, lambda _: observed).released == ev("1/01")
 
 
 class TestValidateWitness:
@@ -700,9 +818,8 @@ def test_oracle_reads_nothing_of_the_compiled_form(monkeypatch):
                 oracle_step(a, observed[:1], observed[1], policy, 7),
                 oracle_enforce(a, observed, policy, 7),
                 _report_text(
-                    check_constraints(
-                        a, policy, max_len=3,
-                        enforce=lambda w, policy=policy: oracle_enforce(a, w, policy, 7),
+                    check_literally(
+                        a, lambda w, policy=policy: oracle_enforce(a, w, policy, 7), 3
                     )
                 ),
             )
@@ -754,3 +871,32 @@ def test_oracle_imports_only_the_automaton_and_the_policy_dispatcher():
     for module, names in imported.items():
         assert module in ORACLE_IMPORTS, f"oracle.py imports {module}"
         assert names <= ORACLE_IMPORTS[module], f"oracle.py imports {names} from {module}"
+
+
+# Names ``constraint_spec.py`` may import: the automaton and the report type
+# through the package, and the word type; nothing of the checker
+# (``syncguard.harness``) or the runtime (``syncguard.runtime``).
+SPEC_IMPORTS = {
+    "__future__": {"annotations"},
+    "typing": {"Callable"},
+    "syncguard": {"ConstraintReport", "SafetyAutomaton"},
+    "syncguard.bits": {"Word"},
+}
+
+
+def test_constraint_spec_imports_nothing_of_the_checker_or_the_runtime():
+    from . import constraint_spec
+
+    tree = ast.parse(Path(constraint_spec.__file__).read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            names = imported.setdefault(node.module or "", set())
+            names.update(alias.name for alias in node.names)
+    for module, names in imported.items():
+        assert module not in ("syncguard.harness", "syncguard.runtime")
+        assert module in SPEC_IMPORTS, f"constraint_spec.py imports {module}"
+        assert names <= SPEC_IMPORTS[module], f"constraint_spec.py imports {names} from {module}"
