@@ -7,7 +7,9 @@ are the events' own: a side's flag is ``1`` exactly when its released
 bits differ from its observed bits (see :class:`TickRecord`).  The tick
 index is a non-negative decimal integer written as ``str`` writes it (no
 leading zero but in ``0`` itself), each flag is ``0`` or ``1``, and the
-location is not empty; :func:`parse_record` rejects anything else with
+location is one name as an automaton document declares it: not empty,
+with no whitespace (as ``str.split`` reads it) and no ``#`` (which starts
+a comment there).  :func:`parse_record` rejects anything else with
 ``ValueError``, and so a line whose two events differ in shape or whose
 flags disagree with its events.  So each record has one text, the one
 :func:`format_record` writes.  Lines starting with ``#`` are comments.
@@ -45,6 +47,10 @@ def parse_record(line: str) -> TickRecord:
         raise ValueError(f"tick index must be a non-negative decimal integer, got {t!r}")
     if not state:
         raise ValueError("location field must not be empty")
+    if state.split() != [state] or "#" in state:
+        raise ValueError(
+            f"location field must be one name, without whitespace or '#', got {state!r}"
+        )
     for flag in (input_edited, output_edited):
         if flag not in ("0", "1"):
             raise ValueError(f"edit flag must be 0 or 1, got {flag!r}")

@@ -583,16 +583,32 @@ class TestRuntimePathCounterexamples:
         assert "soundness" in failed
 
     def test_repair_toward_the_trap_prefers_another_unsafe_output(self):
-        # two output bits, and only output 00 is safe: the runtime repairs
-        # 11 to 00, the mutant releases 01, the first other unsafe output
-        alphabet = Alphabet(("A",), ("B", "C"))
-        safe = alphabet.output_vector("00")
-        delta = {("q0", e): "q0" if e.output == safe else "qv" for e in alphabet.events}
-        delta.update({("qv", e): "qv" for e in alphabet.events})
-        a = SafetyAutomaton(alphabet, ("q0", "qv"), "q0", "qv", delta)
-        inputs, observed = alphabet.input_vector("1"), alphabet.output_vector("11")
+        # the runtime repairs 11 to 00, the mutant releases 01, the first
+        # other unsafe output
+        a = _one_safe_output()
+        inputs, observed = a.alphabet.input_vector("1"), a.alphabet.output_vector("11")
         assert Enforcer(a).tick(inputs, lambda _: observed).released == ev("1/00")
         assert _RepairsTowardTheTrap(a).tick(inputs, lambda _: observed).released == ev("1/01")
+
+    def test_repair_toward_the_trap_over_two_outputs(self, monkeypatch):
+        # over one output bit, as on mutant_slice, this mutant releases what
+        # _SkipsOutputRepair does; over two it takes its other-unsafe-output
+        # branch, and both readings must agree there too
+        a = _one_safe_output()
+        failed = self._agree(monkeypatch, [a], _RepairsTowardTheTrap)
+        assert "soundness" in failed
+        mutant, skips = _RepairsTowardTheTrap(a), _SkipsOutputRepair(a)
+        words = [(e,) for e in a.alphabet.events]
+        assert any(enforce_word(mutant, w) != enforce_word(skips, w) for w in words)
+
+
+def _one_safe_output() -> SafetyAutomaton:
+    """One input bit, two output bits, and only output 00 is safe."""
+    alphabet = Alphabet(("A",), ("B", "C"))
+    safe = alphabet.output_vector("00")
+    delta = {("q0", e): "q0" if e.output == safe else "qv" for e in alphabet.events}
+    delta.update({("qv", e): "qv" for e in alphabet.events})
+    return SafetyAutomaton(alphabet, ("q0", "qv"), "q0", "qv", delta)
 
 
 class TestValidateWitness:

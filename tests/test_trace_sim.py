@@ -107,6 +107,18 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="^location field must not be empty$"):
             read_trace("0\t00/0\t00/0\t0\t0\tq0\n1\t00/0\t00/0\t0\t0\t\n")
 
+    # a document's names are split on whitespace, and # starts a comment there
+    @pytest.mark.parametrize(
+        "state", ["q0 ", " q0", "q 0", " ", "\u3000", "q0\x0b", "q0\x1c", "q#0", "#", "q0#"]
+    )
+    def test_location_no_automaton_can_declare_rejected(self, state):
+        with pytest.raises(ValueError, match="^location field must be one name, without"):
+            parse_record(f"0\t00/0\t00/0\t0\t0\t{state}")
+
+    def test_location_names_a_document_can_declare_parse(self):
+        for state in ("q0", "ok", "s_1", "état", "q0'"):
+            assert parse_record(f"0\t00/0\t00/0\t0\t0\t{state}").state_after == state
+
     @pytest.mark.parametrize(
         "observed, released, flags, side",
         [
