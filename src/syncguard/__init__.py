@@ -59,7 +59,7 @@ from .samples import (
     dead_end_branch_repaired,
     mutual_exclusion,
 )
-from .sim import BenchResult, SimConfig, bench, count_edits, random_inputs, simulate
+from .sim import BenchResult, SimConfig, bench, random_inputs, simulate
 
 __version__ = "0.1.0"
 
@@ -99,7 +99,6 @@ __all__ = [
     "check_constraints",
     "check_enforceability",
     "compute_edit_sets",
-    "count_edits",
     "dead_end_branch",
     "dead_end_branch_repaired",
     "enforce_word",

@@ -76,10 +76,11 @@ class Event:
 
     ``code`` is ``input.code * 2**len(output) + output.code``, the event's
     index in :attr:`Alphabet.events` when it is in the alphabet.
-    ``Event(input, output)`` is the shared event of the two vectors.
+    ``Event(input, output)`` is the shared event of the two vectors.  Its
+    text is built on first use and kept in ``_text``: traces repeat it.
     """
 
-    __slots__ = ("input", "output", "code")
+    __slots__ = ("input", "output", "code", "_text")
 
     def __new__(cls, input: BitVector, output: BitVector) -> "Event":
         width = len(output.bits)
@@ -89,12 +90,18 @@ class Event:
         return (Event, (self.input, self.output))
 
     def __str__(self) -> str:
-        return f"{self.input}/{self.output}"
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = f"{self.input}/{self.output}"
+            return text
 
     def __repr__(self) -> str:
         return f"Event({str(self)!r})"
 
+    # memoized per text, as traces repeat their events; errors are not cached
     @classmethod
+    @lru_cache(maxsize=4096)
     def from_text(cls, text: str) -> "Event":
         left, sep, right = text.partition("/")
         if not sep:

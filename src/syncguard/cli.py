@@ -7,7 +7,9 @@ transformable, or a failed constraint check), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from .analysis import (
@@ -25,7 +27,7 @@ from .automata import (
     render_automaton,
     render_input_automaton,
 )
-from .bits import format_vector, format_word
+from .bits import BitVector, format_vector, format_word
 from .editing import NEAREST, build_edit_tables, canonical_policy, compute_edit_sets
 from .harness import check_constraints
 from .programs import (
@@ -35,7 +37,7 @@ from .programs import (
     parse_program,
 )
 from .runtime import Enforcer
-from .sim import SimConfig, bench, count_edits, simulate
+from .sim import SimConfig, bench, random_inputs
 from .trace import read_trace, write_trace
 
 
@@ -124,12 +126,11 @@ def _load_automaton(path: str) -> SafetyAutomaton:
         return normalize(parse_automaton(handle.read()))
 
 
-def _write_output(out: Optional[str], text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _open_out(out: Optional[str]):
+    """The stream ``--out`` names, or stdout.  Open it after the last input
+    check, so a refused run leaves the file as it was; it is opened in
+    place, so a symlink is written through and a device stays one."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
 
 def _cmd_check(args) -> int:
@@ -152,13 +153,15 @@ def _cmd_transform(args) -> int:
     if result is None:
         print("NONE")
         return 1
-    _write_output(args.out, render_automaton(result))
+    with _open_out(args.out) as stream:
+        stream.write(render_automaton(result))
     return 0
 
 
 def _cmd_project(args) -> int:
     automaton = _load_automaton(args.automaton)
-    _write_output(args.out, render_input_automaton(project_inputs(automaton)))
+    with _open_out(args.out) as stream:
+        stream.write(render_input_automaton(project_inputs(automaton)))
     return 0
 
 
@@ -187,7 +190,8 @@ def _cmd_explain(args) -> int:
                 f"{q} given {format_vector(x)}: safe outputs "
                 f"{render_set(outputs)}{choice}"
             )
-    _write_output(args.out, "\n".join(lines) + "\n")
+    with _open_out(args.out) as stream:
+        stream.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -207,20 +211,21 @@ def _resolve_enforceable(automaton: SafetyAutomaton, auto_transform: bool) -> Op
     return repaired
 
 
-def _read_trace_file(path: str):
+def _read_trace_file(path: str, side: str, width: int) -> list[BitVector]:
+    """The observed ``side`` vectors of a trace file, each ``width`` bits wide."""
+    vectors = []
     try:
         with open(path, encoding="utf-8") as handle:
-            return read_trace(handle.read())
+            for t, record in enumerate(read_trace(handle)):
+                vector = getattr(record.observed, side)
+                if len(vector) != width:
+                    raise ValueError(
+                        f"tick {t} {side} {vector} has {len(vector)} bits, expected {width}"
+                    )
+                vectors.append(vector)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _check_widths(vectors, width: int, side: str, path: str) -> None:
-    for t, vector in enumerate(vectors):
-        if len(vector) != width:
-            raise ValueError(
-                f"{path}: tick {t} {side} {vector} has {len(vector)} bits, expected {width}"
-            )
+    return vectors
 
 
 def _resolve_program(spec: str, automaton: SafetyAutomaton, ticks: int):
@@ -230,10 +235,9 @@ def _resolve_program(spec: str, automaton: SafetyAutomaton, ticks: int):
         return ConstantProgram(alphabet, alphabet.output_vector(spec[len("const:"):]))
     if spec.startswith("scripted:"):
         path = spec[len("scripted:"):]
-        outputs = [r.observed.output for r in _read_trace_file(path)]
+        outputs = _read_trace_file(path, "output", len(alphabet.outputs))
         if len(outputs) < ticks:
             raise ValueError(f"{path}: script has {len(outputs)} outputs, the run needs {ticks}")
-        _check_widths(outputs, len(alphabet.outputs), "output", path)
         return ScriptedProgram(outputs)
     if spec.startswith("synthetic:"):
         fields = spec[len("synthetic:"):].split(":")
@@ -258,13 +262,12 @@ def _cmd_simulate(args) -> int:
         return 1
     ticks = args.ticks
     if args.env == "random":
-        env = None
         if ticks is None:
             ticks = 1000
+        env = random_inputs(automaton.alphabet, ticks, args.seed)
     elif args.env.startswith("trace:"):
         path = args.env[len("trace:"):]
-        env = [r.observed.input for r in _read_trace_file(path)]
-        _check_widths(env, len(automaton.alphabet.inputs), "input", path)
+        env = _read_trace_file(path, "input", len(automaton.alphabet.inputs))
         if ticks is None:
             ticks = len(env)
         elif ticks > len(env):
@@ -272,26 +275,16 @@ def _cmd_simulate(args) -> int:
     else:
         raise ValueError(f"unknown environment spec {args.env!r}")
     config = SimConfig(ticks=ticks, seed=args.seed, policy=args.policy)
-    if env is not None:
-        env = env[: config.ticks]
     program = _resolve_program(args.program, automaton, config.ticks)
-    records = simulate(automaton, program, config, env)
-    header = [
-        f"syncguard simulate policy={config.policy} seed={config.seed} "
-        f"ticks={len(records)} env={args.env}",
-    ]
-    if args.out is None:
-        write_trace(sys.stdout, records, header)
-        summary_stream = sys.stderr
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_trace(handle, records, header)
-        summary_stream = sys.stdout
-    input_edits, output_edits = count_edits(records)
-    print(
-        f"ticks={len(records)} input_edits={input_edits} output_edits={output_edits}",
-        file=summary_stream,
-    )
+    enforcer = Enforcer(automaton, config.policy, config.seed)
+    header = (f"syncguard simulate policy={config.policy} seed={config.seed} "
+              f"ticks={config.ticks} env={args.env}")
+    # each record is written as it is made; an interrupted run leaves a prefix
+    with _open_out(args.out) as stream:
+        records = (enforcer.tick(x, program) for x in islice(env, config.ticks))
+        counts = write_trace(stream, records, [header])
+    summary = "ticks={} input_edits={} output_edits={}".format(*counts)
+    print(summary, file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -312,9 +305,10 @@ def _cmd_verify(args) -> int:
         name = next(iter(result.counterexamples))
         observed = result.counterexamples[name]
         script = ScriptedProgram([e.output for e in observed])
-        records = Enforcer(automaton, policy, args.seed).run((e.input for e in observed), script)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_trace(handle, records, [f"counterexample for {name}"])
+        enforcer = Enforcer(automaton, policy, args.seed)
+        with _open_out(args.out) as stream:
+            records = (enforcer.tick(e.input, script) for e in observed)
+            write_trace(stream, records, [f"counterexample for {name}"])
         print(f"counterexample trace written to {args.out}")
     return 1
 

@@ -106,13 +106,6 @@ def simulate(
     return enforcer.run(env, program)
 
 
-def count_edits(records: Sequence[TickRecord]) -> tuple[int, int]:
-    return (
-        sum(r.input_edited for r in records),
-        sum(r.output_edited for r in records),
-    )
-
-
 @dataclass(frozen=True)
 class BenchResult:
     """Per-tick times in seconds for the bare and the enforced loop.

@@ -14,12 +14,13 @@ a comment there).  :func:`parse_record` rejects anything else with
 flags disagree with its events.  So each record has one text, the one
 :func:`format_record` writes.  Lines starting with ``#`` are comments.
 All content is deterministic, so two runs with identical configuration
-produce byte-identical files.
+produce byte-identical files.  :func:`write_trace` writes each record as
+it arrives and :func:`read_trace` yields them, so neither holds a run.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .bits import Event
 from .runtime import TickRecord
@@ -76,18 +77,23 @@ def write_trace(
     stream: IO[str],
     records: Iterable[TickRecord],
     header: Sequence[str] = (),
-) -> None:
+) -> tuple[int, int, int]:
+    """Write the header, then each record as it arrives; count records and edits."""
     for line in header:
         stream.write(f"# {line}\n")
-    for record in records:
+    ticks = input_edits = output_edits = 0
+    for ticks, record in enumerate(records, 1):
         stream.write(format_record(record) + "\n")
+        input_edits += record.input_edited
+        output_edits += record.output_edited
+    return ticks, input_edits, output_edits
 
 
-def read_trace(text: str) -> list[TickRecord]:
-    records = []
-    for line in text.splitlines():
+def read_trace(lines: Iterable[str]) -> Iterator[TickRecord]:
+    """Yield the records of a text handle's lines, past blanks and comments.
+    A handle ends lines at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a form feed,
+    where ``str.splitlines`` would split, stays in its record and is refused."""
+    for line in lines:
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        records.append(parse_record(line))
-    return records
+        if stripped and not stripped.startswith("#"):
+            yield parse_record(line)

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 import sys
 import threading
 
@@ -43,6 +44,54 @@ def test_event_text_round_trip():
     assert str(e) == "10/1"
     assert e.input == BitVector.from_text("10")
     assert e.output == BitVector.from_text("1")
+
+
+def _text_cache_events() -> list[Event]:
+    """Every event at widths 0 to 8, in every split, and a seeded sample at 16."""
+    events = [
+        event
+        for width in range(9)
+        for inputs in range(width + 1)
+        for event in bits._events(inputs, width - inputs)
+    ]
+    return events + random.Random(16).sample(bits._events(8, 8), 500)
+
+
+def test_event_text_is_built_once_from_its_vectors():
+    for event in _text_cache_events():
+        first, second = str(event), str(event)
+        assert first == second == f"{event.input}/{event.output}"
+        assert Event.from_text(first) is event
+        assert Event.from_text(first) is event
+    # bounded, as the memo lives for the whole process
+    assert Event.from_text.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("10", "expected 'inputs/outputs', got '10'"),
+        ("1x/0", "invalid bit string '1x'"),
+        ("0/2", "invalid bit string '2'"),
+        ("0" * 9 + "/" + "0" * 8, "interface declares 17 variables; at most 16 are supported"),
+    ],
+)
+def test_malformed_event_text_raises_alike_on_every_call(text, message):
+    for _ in range(2):
+        with pytest.raises(ValueError) as caught:
+            Event.from_text(text)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_rendered_event_clones_to_the_shared_instance(clone):
+    event = Event.from_text("01/1")
+    assert str(event) == "01/1"
+    assert clone(event) is event and str(clone(event)) == "01/1"
 
 
 @pytest.mark.parametrize(
@@ -199,8 +248,11 @@ def test_vectors_and_events_wider_than_any_interface_raise():
         Event(BitVector((1,) * 9), BitVector((0,) * 8))
 
 
-def test_threads_building_one_shape_share_its_instances(monkeypatch):
-    # empty tables, so the threads race to build widths 10, 6 and 4 and shape (6, 4)
+def test_threads_building_one_shape_share_its_instances(monkeypatch, request):
+    # empty tables, so the threads race to build widths 10, 6 and 4 and shape (6, 4);
+    # the text memo holds instances, so it is emptied before and after
+    Event.from_text.cache_clear()
+    request.addfinalizer(Event.from_text.cache_clear)
     monkeypatch.setattr(bits, "_VALUATIONS", {})
     monkeypatch.setattr(bits, "_EVENTS", {})
     count = 8

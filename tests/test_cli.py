@@ -1,10 +1,15 @@
 """CLI runs that a row of ``test_cli_cases.CASES`` cannot hold: runs
 chained through the files they write, a trace read back and checked
-record by record, and a run with ``Enforcer.tick`` patched.
+record by record, a run with ``Enforcer.tick`` patched, ``--out`` through
+a symlink, and the memory a long ``simulate`` run takes.
 """
 
 import dataclasses
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,13 @@ from syncguard import Enforcer, Event, mutual_exclusion, render_automaton
 from syncguard.cli import main
 from syncguard.programs import ScriptedProgram
 from syncguard.trace import read_trace
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def records_of(path):
+    with open(path, encoding="utf-8") as handle:
+        return list(read_trace(handle))
 
 
 @pytest.fixture
@@ -31,7 +43,7 @@ class TestSimulate:
         assert code == 0
         summary = capsys.readouterr().out
         assert "ticks=40" in summary
-        records = read_trace(out.read_text())
+        records = records_of(out)
         assert len(records) == 40
         a = mutual_exclusion()
         released = tuple(r.released for r in records)
@@ -42,7 +54,7 @@ class TestSimulate:
         out = tmp_path / "trace.txt"
         assert main(["simulate", s1_file, "const:1", "--seed", "5", "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("ticks=1000 ")
-        assert len(read_trace(out.read_text())) == 1000
+        assert len(records_of(out)) == 1000
         # the same when the environment is named
         named = tmp_path / "named.txt"
         argv = ["simulate", s1_file, "const:1", "--env", "random", "--seed", "5", "--out", str(named)]
@@ -68,8 +80,8 @@ class TestSimulate:
              "--out", str(second)]
         )
         assert code == 0
-        r1 = read_trace(first.read_text())
-        r2 = read_trace(second.read_text())
+        r1 = records_of(first)
+        r2 = records_of(second)
         assert [r.observed.input for r in r1] == [r.observed.input for r in r2]
 
     def test_scripted_program_replays_outputs(self, s1_file, tmp_path):
@@ -82,7 +94,7 @@ class TestSimulate:
              "--out", str(second)]
         )
         assert code == 0
-        assert read_trace(first.read_text()) == read_trace(second.read_text())
+        assert records_of(first) == records_of(second)
 
 
 class TestVerify:
@@ -123,4 +135,51 @@ class TestVerify:
             enforcer.tick(e.input, ScriptedProgram([e.output]))
             for e in map(Event.from_text, ("00/0", "01/1"))
         ]
-        assert read_trace(out.read_text()) == expected
+        assert records_of(out) == expected
+
+
+class TestOut:
+    def test_out_through_a_symlink_writes_the_target(self, s1_file, tmp_path, capsys):
+        target = tmp_path / "target.trace"
+        target.write_text("previous\n")
+        link = tmp_path / "link.trace"
+        link.symlink_to(target)
+        argv = ["simulate", s1_file, "const:1", "--ticks", "3", "--seed", "4"]
+        assert main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert main(argv + ["--out", str(tmp_path / "plain.trace")]) == 0
+        assert target.read_bytes() == (tmp_path / "plain.trace").read_bytes()
+        assert records_of(target)[2].t == 2
+
+
+# Run in a fresh interpreter, which reads its own peak RSS before and after
+# the run: in pytest, RUSAGE_CHILDREN would also cover every other child.
+PEAK_PROBE = """
+import resource, sys
+from syncguard.cli import main
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+before = peak()
+code = main(sys.argv[1:])
+print(code, before, peak(), file=sys.stderr)
+"""
+
+
+def test_simulate_streams_its_trace(s1_file, tmp_path):
+    """A 300,000-tick run that kept its records grew the peak RSS by 33 MB
+    on CPython 3.11; streamed, it grows 3.3 MB, most of it the environment's
+    list of inputs."""
+    out = tmp_path / "long.trace"
+    argv = ["simulate", s1_file, "const:1", "--ticks", "300000", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    code, before, after = map(int, result.stderr.split())
+    assert code == 0 and result.stdout.startswith("ticks=300000 "), result.stdout
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, else KiB
+    assert (after - before) * unit < 10 * 2**20
+    with open(out, encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) == 300001

@@ -128,6 +128,14 @@ THREE = (
     "2\t11/1\t10/1\t1\t0\tq0\n"
 )
 THREE_TRACE = {**MUTEX, "three.trace": THREE}
+# the same three ticks, as `simulate` writes them when three.trace is its environment
+THREE_AS_ENV = "# syncguard simulate policy=nearest seed=0 ticks=3 env=trace:three.trace\n" + (
+    THREE.split("\n", 1)[1]
+)
+# the trace-flag-7 and trace-width-* rows' files, for the out-kept-* rows
+FLAG_7 = {**MUTEX, "bad.trace": "0\t00/0\t00/0\t0\t0\tq0\n1\t00/0\t00/0\t7\t0\tq0\n"}
+WIDE_OUTPUT = {**MUTEX, "bad.trace": "0\t00/0\t00/0\t0\t0\tq0\n1\t00/10\t00/10\t0\t0\tq0\n"}
+WIDE_INPUT = {**MUTEX, "bad.trace": "0\t00/0\t00/0\t0\t0\tq0\n1\t001/1\t001/1\t0\t0\tq0\n"}
 
 
 def _quick_start() -> dict[str, tuple[str, ...]]:
@@ -191,6 +199,16 @@ def _malformed_trace(id: str, text: str, message: str) -> list[Case]:
         _row(f"{id}-env", f"simulate mutex.aut const:1 --env trace:bad.trace --ticks {ticks}",
              files, 2, stderr=f"error: bad.trace: {message}\n"),
     ]
+
+
+PREVIOUS = "# an earlier run's trace\n"
+
+
+def _keeps_out(id: str, argv: str, files: dict, exit: int = 2, **expected) -> Case:
+    """A run refused by an input check opens no ``--out``: a file already
+    there keeps its bytes."""
+    return _row(f"out-kept-{id}", f"{argv} --out run.trace", {**files, "run.trace": PREVIOUS},
+                exit, out=("run.trace", PREVIOUS), **expected)
 
 
 def _synthetic_spec(name: str, spec: str) -> list[Case]:
@@ -332,6 +350,14 @@ CASES: list[Case] = [
          stdout="# syncguard simulate policy=nearest seed=0 ticks=3 env=trace:three.trace\n"
          + THREE.split("\n", 1)[1],
          stderr="ticks=3 input_edits=2 output_edits=0\n"),
+    # the traces are read in full before --out, the same file, is opened
+    _row("simulate-trace-env-out-to-itself",
+         "simulate mutex.aut const:1 --env trace:three.trace --out three.trace", THREE_TRACE,
+         stdout="ticks=3 input_edits=2 output_edits=0\n", out=("three.trace", THREE_AS_ENV)),
+    _row("simulate-script-and-env-out-to-itself",
+         "simulate mutex.aut scripted:three.trace --env trace:three.trace --out three.trace",
+         THREE_TRACE, stdout="ticks=3 input_edits=2 output_edits=0\n",
+         out=("three.trace", THREE_AS_ENV)),
     _row("simulate-trace-env-first-ticks",
          "simulate mutex.aut const:1 --env trace:three.trace --ticks 2 --out two.trace",
          THREE_TRACE, stdout="ticks=2 input_edits=1 output_edits=0\n",
@@ -373,8 +399,38 @@ CASES: list[Case] = [
                       "location field must not be empty"),
     *_malformed_trace("trace-location-with-space", "0\t00/0\t00/0\t0\t0\tq0 \n",
                       "location field must be one name, without whitespace or '#', got 'q0 '"),
+    # only a newline ends a line: str.splitlines would also split at a form feed
+    *_malformed_trace("trace-location-with-form-feed", "0\t00/0\t00/0\t0\t0\tq0\x0c\n",
+                      "location field must be one name, without whitespace or '#', "
+                      "got 'q0\\x0c'"),
     *_malformed_trace("trace-17-bit-field", f"0\t{'0' * 17}/0\t00/0\t0\t0\tq0\n",
                       "interface declares 17 variables; at most 16 are supported"),
+    # -- --out is opened only once every input check has passed
+    _keeps_out("trace-parse-program", "simulate mutex.aut scripted:bad.trace --ticks 2", FLAG_7,
+               stderr="error: bad.trace: edit flag must be 0 or 1, got '7'\n"),
+    _keeps_out("trace-parse-env", "simulate mutex.aut const:1 --env trace:bad.trace", FLAG_7,
+               stderr="error: bad.trace: edit flag must be 0 or 1, got '7'\n"),
+    _keeps_out("trace-width-program", "simulate mutex.aut scripted:bad.trace --ticks 2",
+               WIDE_OUTPUT, stderr="error: bad.trace: tick 1 output 10 has 2 bits, expected 1\n"),
+    _keeps_out("trace-width-env", "simulate mutex.aut const:1 --env trace:bad.trace", WIDE_INPUT,
+               stderr="error: bad.trace: tick 1 input 001 has 3 bits, expected 2\n"),
+    _keeps_out("script-shorter-than-run", "simulate mutex.aut scripted:three.trace --ticks 10",
+               THREE_TRACE, stderr="error: three.trace: script has 3 outputs, the run needs 10\n"),
+    _keeps_out("ticks-past-the-trace", "simulate mutex.aut const:1 --env trace:three.trace "
+               "--ticks 4", THREE_TRACE,
+               stderr="error: three.trace: trace has 3 records, --ticks asks for 4\n"),
+    _keeps_out("not-enforceable", "simulate dead_end.aut const:0 --ticks 10", DEAD_END, 1,
+               stderr="error: not enforceable; dead locations: q1 "
+               "(use --auto-transform to repair)\n"),
+    _keeps_out("negative-ticks", "simulate mutex.aut const:1 --ticks -1", MUTEX,
+               stderr="error: ticks must be non-negative\n"),
+    _keeps_out("unknown-env", "simulate mutex.aut const:1 --env bogus", MUTEX,
+               stderr="error: unknown environment spec 'bogus'\n"),
+    _keeps_out("bad-synthetic-spec", "simulate mutex.aut synthetic:8: --ticks 3", MUTEX,
+               stderr="error: expected synthetic:WIDTH[:SEED], got 'synthetic:8:'\n"),
+    _keeps_out("transform-unrepairable", "transform doomed.aut", DOOMED, 1, stdout="NONE\n"),
+    _keeps_out("verify-negative-max-len", "verify mutex.aut --max-len -1", MUTEX,
+               stderr="error: max_len must be non-negative, got -1\n"),
     # -- verify: the constraint check's runtime side under each policy
     _row("verify-max-len-3", "verify mutex.aut --max-len 3", MUTEX,
          stdout=f"{ALL_PASS}words checked: 585\n"),

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,6 @@ from syncguard import (
     SyntheticProgram,
     always_accepting,
     bench,
-    count_edits,
     mutual_exclusion,
     null_program,
     random_inputs,
@@ -81,7 +81,7 @@ class TestTraceFormat:
         write_trace(buffer, records, header=["example header"])
         text = buffer.getvalue()
         assert text.startswith("# example header\n")
-        assert read_trace(text) == records
+        assert list(read_trace(io.StringIO(text))) == records
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="fields"):
@@ -105,7 +105,7 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="^location field must not be empty$"):
             parse_record("7\t00/0\t00/0\t0\t0\t")
         with pytest.raises(ValueError, match="^location field must not be empty$"):
-            read_trace("0\t00/0\t00/0\t0\t0\tq0\n1\t00/0\t00/0\t0\t0\t\n")
+            list(read_trace(io.StringIO("0\t00/0\t00/0\t0\t0\tq0\n1\t00/0\t00/0\t0\t0\t\n")))
 
     # a document's names are split on whitespace, and # starts a comment there
     @pytest.mark.parametrize(
@@ -160,6 +160,73 @@ class TestTraceFormat:
             parse_record("-3\t00/0\t00/0\t7\t-2\tq0")
 
 
+GOLDEN = Path(__file__).parent / "golden"
+LINE = "0\t00/0\t00/0\t0\t0\tq0"
+
+
+class TestStreaming:
+    """The writer writes each record before it takes the next one, and the
+    reader yields records from a text handle, whose lines end at ``\\n``."""
+
+    def test_writer_writes_each_record_before_it_takes_the_next(self):
+        a = mutual_exclusion()
+        records = simulate(a, null_output_program(a), SimConfig(ticks=50, seed=5))
+        stream = io.StringIO()
+
+        def one_at_a_time():
+            for k, record in enumerate(records):
+                written = "# h\n" + "".join(format_record(r) + "\n" for r in records[:k])
+                assert stream.getvalue() == written
+                yield record
+
+        assert write_trace(stream, one_at_a_time(), ["h"])[0] == 50
+        assert stream.getvalue() == "# h\n" + "".join(format_record(r) + "\n" for r in records)
+
+    @pytest.mark.parametrize(
+        "path", sorted(GOLDEN.glob("simulate-*.trace")), ids=lambda path: path.stem
+    )
+    def test_counts_equal_recounts_over_the_golden_traces(self, path):
+        text = path.read_bytes().decode("utf-8")
+        with path.open(encoding="utf-8") as handle:
+            records = list(read_trace(handle))
+        header = text.split("\n", 1)[0]
+        assert f" ticks={len(records)} " in header
+        stream = io.StringIO()
+        counts = write_trace(stream, iter(records), [header[len("# "):]])
+        assert stream.getvalue() == text
+        assert counts == (
+            len(records),
+            sum(1 for r in records if r.input_edited),
+            sum(1 for r in records if r.output_edited),
+        )
+        assert counts == write_trace(io.StringIO(), records)
+
+    def test_reader_reads_a_line_only_when_asked_for_its_record(self):
+        lines = iter(["# comment\n", "\n", LINE + "\n", "not a record\n"])
+        reader = read_trace(lines)
+        assert next(reader) == parse_record(LINE)
+        assert next(lines) == "not a record\n"
+        assert list(reader) == []
+
+    # every separator str.splitlines splits on but \n, \r and \r\n
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_a_newline_ends_a_line(self, separator, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_bytes(f"{LINE}{separator}\n{LINE}\n".encode("utf-8"))
+        with path.open(encoding="utf-8") as handle:
+            with pytest.raises(ValueError, match="^location field must be one name, without"):
+                list(read_trace(handle))
+
+    def test_crlf_lines_read_as_newline_lines(self, tmp_path):
+        golden = GOLDEN / "simulate-mutex-lex.trace"
+        path = tmp_path / "crlf.trace"
+        path.write_bytes(golden.read_bytes().replace(b"\n", b"\r\n"))
+        with path.open(encoding="utf-8") as crlf, golden.open(encoding="utf-8") as lf:
+            assert list(read_trace(crlf)) == list(read_trace(lf))
+
+
 class TestSimulate:
     def test_every_prefix_of_trace_satisfies_property(self):
         a = mutual_exclusion()
@@ -183,7 +250,8 @@ class TestSimulate:
     def test_edit_counts_match_flags(self):
         a = mutual_exclusion()
         records = simulate(a, null_output_program(a), SimConfig(ticks=200, seed=13))
-        input_edits, output_edits = count_edits(records)
+        ticks, input_edits, output_edits = write_trace(io.StringIO(), records)
+        assert ticks == 200
         assert input_edits == sum(1 for r in records if r.input_edited)
         assert output_edits == sum(1 for r in records if r.output_edited)
         assert input_edits > 0  # seed 13 hits 11-inputs within 200 ticks
