@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .analysis import (
@@ -37,7 +37,7 @@ from .programs import (
     parse_program,
 )
 from .runtime import Enforcer
-from .sim import SimConfig, bench, random_inputs
+from .sim import SimConfig, bench, random_input_chunks
 from .trace import read_trace, write_trace
 
 
@@ -212,11 +212,14 @@ def _resolve_enforceable(automaton: SafetyAutomaton, auto_transform: bool) -> Op
 
 
 def _read_trace_file(path: str, side: str, width: int) -> list[BitVector]:
-    """The observed ``side`` vectors of a trace file, each ``width`` bits wide."""
+    """The observed ``side`` vectors of a trace file, each ``width`` bits
+    wide, from records numbered by their position: 0, 1, 2, ..."""
     vectors = []
     try:
         with open(path, encoding="utf-8") as handle:
             for t, record in enumerate(read_trace(handle)):
+                if record.t != t:
+                    raise ValueError(f"record {t} has tick index {record.t}")
                 vector = getattr(record.observed, side)
                 if len(vector) != width:
                     raise ValueError(
@@ -264,7 +267,7 @@ def _cmd_simulate(args) -> int:
     if args.env == "random":
         if ticks is None:
             ticks = 1000
-        env = random_inputs(automaton.alphabet, ticks, args.seed)
+        env = chain.from_iterable(random_input_chunks(automaton.alphabet, ticks, args.seed))
     elif args.env.startswith("trace:"):
         path = args.env[len("trace:"):]
         env = _read_trace_file(path, "input", len(automaton.alphabet.inputs))

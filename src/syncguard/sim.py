@@ -29,7 +29,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .automata import SafetyAutomaton
 from .bits import Alphabet, BitVector
@@ -65,30 +65,42 @@ class SimConfig:
         self.policy = canonical_policy(self.policy)
 
 
-DRAWS_PER_CALL = 1 << 16  # 32-bit words random_inputs takes per getrandbits call
+DRAWS_PER_CALL = 1 << 16  # 32-bit words random_input_chunks takes per getrandbits call
 
 
-def random_inputs(alphabet: Alphabet, ticks: int, seed: int) -> list[BitVector]:
-    """Uniform seeded input sequence (generator fixed in the module docstring).
+def random_input_chunks(alphabet: Alphabet, ticks: int, seed: int) -> Iterator[list[BitVector]]:
+    """The seeded input sequence of :func:`random_inputs`, drawn one chunk
+    of at most :data:`DRAWS_PER_CALL` ticks at a time, as it is read.
 
-    Each chunk of ticks is one wide draw, read as 16-bit halves: the low
-    half of word i is the i-th ``getrandbits(32)``'s low 16 bits, which
-    is all the modulus (at most 2**16, a power of two) keeps.  A tick
-    count or a seed that is not an int (a bool is not one) raises
-    ``ValueError``; a tick count of 0 or less gives no inputs.
+    Each chunk is one wide draw, read as 16-bit halves: the low half of
+    word i is the i-th ``getrandbits(32)``'s low 16 bits, which is all the
+    modulus (at most 2**16, a power of two) keeps.  The tick count and the
+    seed are checked when this is called, before the first draw.
     """
     _check_int("ticks", ticks)
     _check_int("seed", seed)
     rng = random.Random(seed)
     choices = alphabet.input_events
     mask = len(choices) - 1
-    drawn: list[BitVector] = []
-    for start in range(0, ticks, DRAWS_PER_CALL):
-        n = min(DRAWS_PER_CALL, ticks - start)
+
+    def draw(n: int) -> list[BitVector]:
         halves = array("H", rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
         if sys.byteorder == "big":
             halves.byteswap()
-        drawn += [choices[h & mask] for h in halves[::2]]
+        return [choices[h & mask] for h in halves[::2]]
+
+    return (draw(min(DRAWS_PER_CALL, ticks - start)) for start in range(0, ticks, DRAWS_PER_CALL))
+
+
+def random_inputs(alphabet: Alphabet, ticks: int, seed: int) -> list[BitVector]:
+    """Uniform seeded input sequence (generator fixed in the module
+    docstring), the chunks of :func:`random_input_chunks` joined.  A tick
+    count or a seed that is not an int (a bool is not one) raises
+    ``ValueError``; a tick count of 0 or less gives no inputs.
+    """
+    drawn: list[BitVector] = []
+    for chunk in random_input_chunks(alphabet, ticks, seed):
+        drawn += chunk
     return drawn
 
 

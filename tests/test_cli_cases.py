@@ -403,6 +403,11 @@ CASES: list[Case] = [
     *_malformed_trace("trace-location-with-form-feed", "0\t00/0\t00/0\t0\t0\tq0\x0c\n",
                       "location field must be one name, without whitespace or '#', "
                       "got 'q0\\x0c'"),
+    # each record's tick index is its position: 0, 1, 2, ...
+    *_malformed_trace("trace-index-skipped", "0\t00/0\t00/0\t0\t0\tq0\n2\t00/0\t00/0\t0\t0\tq0\n",
+                      "record 1 has tick index 2"),
+    *_malformed_trace("trace-index-from-1", "1\t00/0\t00/0\t0\t0\tq0\n",
+                      "record 0 has tick index 1"),
     *_malformed_trace("trace-17-bit-field", f"0\t{'0' * 17}/0\t00/0\t0\t0\tq0\n",
                       "interface declares 17 variables; at most 16 are supported"),
     # -- --out is opened only once every input check has passed
@@ -410,6 +415,9 @@ CASES: list[Case] = [
                stderr="error: bad.trace: edit flag must be 0 or 1, got '7'\n"),
     _keeps_out("trace-parse-env", "simulate mutex.aut const:1 --env trace:bad.trace", FLAG_7,
                stderr="error: bad.trace: edit flag must be 0 or 1, got '7'\n"),
+    _keeps_out("trace-index-env", "simulate mutex.aut const:1 --env trace:bad.trace",
+               {**MUTEX, "bad.trace": "9\t00/0\t00/0\t0\t0\tq0\n"},
+               stderr="error: bad.trace: record 0 has tick index 9\n"),
     _keeps_out("trace-width-program", "simulate mutex.aut scripted:bad.trace --ticks 2",
                WIDE_OUTPUT, stderr="error: bad.trace: tick 1 output 10 has 2 bits, expected 1\n"),
     _keeps_out("trace-width-env", "simulate mutex.aut const:1 --env trace:bad.trace", WIDE_INPUT,

@@ -1,8 +1,14 @@
 import hashlib
+import itertools
 
+import pytest
+
+import syncguard.corpus
 from syncguard import (
     Alphabet,
+    SafetyAutomaton,
     all_normalized_automata,
+    normalize,
     random_enforceable_automata,
     render_automaton,
 )
@@ -41,3 +47,55 @@ def test_generation_does_not_render(monkeypatch):
     monkeypatch.setattr("syncguard.corpus.render_automaton", refuse, raising=False)
     assert len(all_normalized_automata(Alphabet(("A",), ()), max_accepting=2)) > 1
     assert len(random_enforceable_automata(Alphabet(("A",), ("B",)), 5, 2, seed=1)) == 5
+
+
+def _first_of_each_class(alphabet, max_accepting):
+    """The exhaustive family by its definition: every total map over n
+    accepting locations and a trap, n ascending, in product order,
+    normalized through the public API; the first of each class kept."""
+    events = alphabet.events
+    family = {}
+    for n in range(1, max_accepting + 1):
+        names = [f"s{i}" for i in range(n)] + ["bad"]
+        trap_row = {("bad", e): "bad" for e in events}
+        for targets in itertools.product(names, repeat=n * len(events)):
+            delta = {**dict(zip(itertools.product(names[:n], events), targets)), **trap_row}
+            automaton = normalize(SafetyAutomaton(alphabet, names, "s0", "bad", delta))
+            family.setdefault(automaton, None)
+    return list(family)
+
+
+@pytest.mark.parametrize(
+    "inputs, outputs, max_accepting",
+    [
+        ((), (), 4),
+        (("A",), (), 3),
+        ((), ("B",), 3),
+        (("A", "B"), (), 2),
+        (("A",), ("B",), 2),
+        (("A",), ("B",), 1),
+        (("A",), ("B",), 0),
+    ],
+)
+def test_exhaustive_family_is_the_first_of_each_class(inputs, outputs, max_accepting):
+    alphabet = Alphabet(inputs, outputs)
+    expected = _first_of_each_class(alphabet, max_accepting)
+    assert all_normalized_automata(alphabet, max_accepting) == expected
+
+
+def test_exhaustive_family_renames_no_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a map was renamed")
+
+    canonical = syncguard.corpus._canonical
+    made = []
+
+    def count(alphabet, table):
+        made.append(table)
+        return canonical(alphabet, table)
+
+    monkeypatch.setattr("syncguard.corpus._renamed", refuse)
+    monkeypatch.setattr("syncguard.corpus._canonical", count)
+    family = all_normalized_automata(Alphabet(("A",), ("B",)), max_accepting=2)
+    assert len(family) == len(made) == 5281
+    assert [a.table for a in family] == made

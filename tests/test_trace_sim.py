@@ -17,6 +17,7 @@ from syncguard import (
     random_inputs,
     simulate,
 )
+from syncguard.sim import random_input_chunks
 from syncguard.trace import format_record, parse_record, read_trace, write_trace
 
 
@@ -32,6 +33,9 @@ def test_random_inputs_tick_count_must_be_an_int(ticks):
     alpha = Alphabet(("A", "B"), ("R",))
     with pytest.raises(ValueError, match=f"^ticks must be an int, got {ticks!r}$"):
         random_inputs(alpha, ticks, 0)
+    # checked when the chunks are asked for, before any is drawn
+    with pytest.raises(ValueError, match=f"^ticks must be an int, got {ticks!r}$"):
+        random_input_chunks(alpha, ticks, 0)
     assert random_inputs(alpha, -5, 0) == []
 
 
@@ -56,6 +60,8 @@ def test_random_inputs_match_the_per_tick_definition(width):
             expected = [choices[rng.getrandbits(32) % len(choices)] for _ in range(ticks)]
             drawn = random_inputs(alpha, ticks, seed)
             assert len(drawn) == len(expected), (seed, ticks)
+            chunks = list(random_input_chunks(alpha, ticks, seed))
+            assert all(0 < len(chunk) <= DRAWS_PER_CALL for chunk in chunks), (seed, ticks)
             assert all(d is e for d, e in zip(drawn, expected)), (seed, ticks)
 
 
@@ -302,3 +308,5 @@ def test_sim_config_validation():
         for ticks in (0, 10):
             with pytest.raises(ValueError, match="seed must be an int"):
                 random_inputs(alpha, ticks, seed)
+            with pytest.raises(ValueError, match="seed must be an int"):
+                random_input_chunks(alpha, ticks, seed)
