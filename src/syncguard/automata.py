@@ -9,7 +9,8 @@ parsed into a :class:`RawAutomaton` and brought into shape by
 renaming).  A :class:`SafetyAutomaton` is already deterministic and
 complete, so :func:`normalize` only prunes and renames it.
 
-Document format (line-oriented, UTF-8, ``#`` starts a comment)::
+Document format (UTF-8, one declaration or transition per line, a line
+ended by a newline only, ``#`` starts a comment)::
 
     inputs: A B
     outputs: R
@@ -357,9 +358,11 @@ def parse_automaton(text: str) -> RawAutomaton:
     Nondeterminism and incompleteness are allowed here (``normalize``
     resolves them), but the violating state must already be a trap.  Each
     transition line ORs its target's bit into its source's row of
-    successor masks at the code of every event its two patterns match
-    (see :class:`RawAutomaton`); no event or triple is built, and the
-    rows, checked line by line here, are not checked again.
+    successor masks at the code of every event its label matches (see
+    :class:`RawAutomaton`); no event or triple is built, and the rows,
+    checked line by line here, are not checked again.  A label's event
+    codes come from :func:`_event_codes`, once per distinct label and
+    interface shape, as labels recur across lines and documents.
     """
     headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     violating = _single_state(headers, "violating", states)
@@ -369,19 +372,31 @@ def parse_automaton(text: str) -> RawAutomaton:
     rows = [[0] * len(alphabet.events) for _ in states]
     for lineno, src, dst, in_pat, out_pat in lines:
         try:
-            xs = _codes(in_pat, n_in, "input")
-            ys = _codes(out_pat, n_out, "output")
+            codes = _event_codes(in_pat, out_pat, n_in, n_out)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         if src == violating and dst != violating:
             raise ParseError(f"line {lineno}: violating state must be a trap")
         row, bit = rows[position[src]], 1 << position[dst]
-        for x in xs:
-            x <<= n_out
-            for y in ys:
-                row[x | y] |= bit
+        for e in codes:
+            row[e] |= bit
 
     return RawAutomaton._trusted(alphabet, states, initial, violating, tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=1024)
+def _event_codes(in_pat: str, out_pat: str, n_in: int, n_out: int) -> tuple[int, ...]:
+    """Codes of the events an ``in_pat/out_pat`` label matches over
+    ``n_in`` inputs and ``n_out`` outputs, ascending.
+
+    Built from the two sides' :func:`~syncguard.bits._codes`, input
+    pattern first, so a malformed label raises that ``ValueError`` on
+    every call (errors are not cached).  At worst the memo holds 1024
+    labels of 2**16 codes each, one per event of a 16-variable interface.
+    """
+    xs = _codes(in_pat, n_in, "input")
+    ys = _codes(out_pat, n_out, "output")
+    return tuple([(x << n_out) | y for x in xs for y in ys])
 
 
 def _parse_document(
@@ -391,19 +406,27 @@ def _parse_document(
 
     ``keys`` are the document kind's declarations, all required; every
     other non-blank line must be a transition ``src -> dst : inpat /
-    outpat`` between declared states.  Returns the declarations, the
-    interface, the states, the initial state and the transitions as
-    ``(lineno, src, dst, inpat, outpat)``; the caller reads the patterns.
+    outpat`` between declared states.  A line ends at ``\\n``, ``\\r\\n``
+    or ``\\r`` only, as a text handle ends it: a form feed or another
+    character at which ``str.splitlines`` would split stays in its line.
+    Returns the declarations, the interface, the states, the initial state
+    and the transitions as ``(lineno, src, dst, inpat, outpat)``; the
+    caller reads the patterns, so every line's syntax and state names are
+    checked before any line's patterns.
     """
     headers: dict[str, str] = {}
     transition_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    comments = "#" in text
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if comments:
+            line = line.split("#", 1)[0]
+        line = line.strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
-        key = key.strip()
-        if sep and key in keys:
+        if sep and (key := key.strip()) in keys:
             if key in headers:
                 raise ParseError(f"line {lineno}: duplicate '{key}:' declaration")
             headers[key] = rest.strip()
@@ -420,7 +443,8 @@ def _parse_document(
     states = tuple(headers["states"].split())
     if not states:
         raise ParseError("'states:' declares no states")
-    if len(set(states)) != len(states):
+    declared = set(states)
+    if len(declared) != len(states):
         dup = next(s for s in states if states.count(s) > 1)
         raise ParseError(f"duplicate state name {dup!r}")
     initial = _single_state(headers, "initial", states)
@@ -432,7 +456,7 @@ def _parse_document(
             raise ParseError(f"line {lineno}: cannot parse transition {line!r}")
         src, dst, in_pat, out_pat = match.groups()
         for name in (src, dst):
-            if name not in states:
+            if name not in declared:
                 raise ParseError(f"line {lineno}: unknown state {name!r}")
         transitions.append((lineno, src, dst, in_pat, out_pat))
     return headers, alphabet, states, initial, transitions

@@ -33,10 +33,12 @@ class BitVector:
     A zero-width vector (null interface) renders as the empty string.
     ``code`` is the numeric value of that string (0 for the empty one).
     ``BitVector(bits)`` is the shared vector of those bits (``True`` and
-    ``1.0`` count as 1).
+    ``1.0`` count as 1).  Its text is built on first use and kept in
+    ``_text``, as :class:`Event` keeps its own: traces and the
+    seeded-random pick repeat it.
     """
 
-    __slots__ = ("bits", "code")
+    __slots__ = ("bits", "code", "_text")
 
     def __new__(cls, bits: Iterable[int]) -> "BitVector":
         code = width = 0
@@ -64,8 +66,12 @@ class BitVector:
         return self.bits < other.bits
 
     def __str__(self) -> str:
-        width = len(self.bits)
-        return format(self.code, f"0{width}b") if width else ""
+        try:
+            return self._text
+        except AttributeError:
+            width = len(self.bits)
+            self._text = text = format(self.code, f"0{width}b") if width else ""
+            return text
 
     def __repr__(self) -> str:
         return f"BitVector({str(self)!r})"

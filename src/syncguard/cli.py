@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative result (not enforceable, not
-transformable, or a failed constraint check), 2 malformed input.
+transformable, or a failed constraint check), 2 malformed input, 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from itertools import chain, islice
 from typing import Optional, Sequence
@@ -46,9 +48,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader stopped reading (``| head``): no input was at fault
+        _silence_stdout()
+        return 141
     except (ParseError, EmptyPropertyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor, when it has one, at the null device,
+    so the interpreter's final flush of what is buffered stays silent."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _build_parser() -> argparse.ArgumentParser:

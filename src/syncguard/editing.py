@@ -140,7 +140,9 @@ def choose_nearest(candidates: Iterable[BitVector], observed: BitVector) -> BitV
 
 
 def choose_lexicographic(candidates: Iterable[BitVector]) -> BitVector:
-    return min(candidates, key=attrgetter("bits"))
+    """Candidate with the least ``code``: over vectors of one width, as
+    every safe set holds, that is the least bit string."""
+    return min(candidates, key=attrgetter("code"))
 
 
 def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVector:
@@ -149,9 +151,11 @@ def choose_seeded(candidates: Iterable[BitVector], seed: Optional[int]) -> BitVe
     ``None`` is seed 0.  The seed's int value is hashed, not its text, so
     an ``int`` subclass with its own ``__str__`` picks as the int it
     equals.  The seed is not checked here: the entry point that took it
-    has checked it (see :func:`check_seed`).
+    has checked it (see :func:`check_seed`).  The candidates are ranked
+    by ``code``, which over vectors of one width, as every safe set
+    holds, is the order of their bit strings.
     """
-    ranked = sorted(candidates, key=attrgetter("bits"))
+    ranked = sorted(candidates, key=attrgetter("code"))
     material = f"{int(seed or 0)}:" + ",".join(str(c) for c in ranked)
     digest = hashlib.sha256(material.encode("ascii")).digest()
     return ranked[int.from_bytes(digest[:8], "big") % len(ranked)]

@@ -29,6 +29,7 @@ from syncguard import (
     project_inputs,
     render_automaton,
 )
+from syncguard import automata
 from syncguard.automata import _AUTOMATON_KEYS, _parse_document
 
 from .strategies import mutated_documents, raw_automata, raw_relations, safety_automata, words
@@ -54,6 +55,16 @@ ok -> ok : 00/-
 ok -> ok : 10/-
 ok -> ok : 01/0
 """
+
+
+def _doc(*extra):
+    """A one-input, one-output document: five declarations, then ``extra``."""
+    lines = ["inputs: A", "outputs: B", "states: q0 qv", "initial: q0", "violating: qv"]
+    return "\n".join(lines + list(extra))
+
+
+# a blank and a comment line before the faulty line 9
+COMMENTED = _doc("# note", "", "q0 -> q0 : 1/-", "q0 -> q0 : 0-/1")
 
 
 class TestParse:
@@ -183,25 +194,68 @@ class TestParse:
             pass
 
     @pytest.mark.parametrize(
-        "extra, message",
+        "text, message",
         [
-            (["q0 -> q9 : -/-"], "line 6: unknown state 'q9'"),
-            (["q0 -> q0 : --/-"], "line 6: input pattern '--' has 2 positions, expected 1"),
-            (["q0 -> q0 : 1/"], "line 6: output pattern '' has 0 positions, expected 1"),
-            (["q0 -> q0 : -/2"], "line 6: cannot parse transition 'q0 -> q0 : -/2'"),
-            (["q0 -> q0 : -/-", "qv -> q0 : 1/0"], "line 7: violating state must be a trap"),
-            (["# note", "", "q0 -> q0 : 1/-", "q0 -> q0 : 0-/1"],
-             "line 9: input pattern '0-' has 2 positions, expected 1"),
-            (["inputs: B"], "line 6: duplicate 'inputs:' declaration"),
+            pytest.param(_doc("q0 -> q9 : -/-"), "line 6: unknown state 'q9'", id="state"),
+            pytest.param(_doc("q0 -> q0 : --/-"),
+                         "line 6: input pattern '--' has 2 positions, expected 1", id="input"),
+            pytest.param(_doc("q0 -> q0 : 1/"),
+                         "line 6: output pattern '' has 0 positions, expected 1", id="output"),
+            pytest.param(_doc("q0 -> q0 : -/2"),
+                         "line 6: cannot parse transition 'q0 -> q0 : -/2'", id="syntax"),
+            pytest.param(_doc("q0 -> q0 : -/-", "qv -> q0 : 1/0"),
+                         "line 7: violating state must be a trap", id="trap"),
+            pytest.param(COMMENTED,
+                         "line 9: input pattern '0-' has 2 positions, expected 1", id="comment"),
+            pytest.param(_doc("inputs: B"),
+                         "line 6: duplicate 'inputs:' declaration", id="duplicate"),
+            # every line's syntax and state names are read before any pattern
+            pytest.param(_doc("q0 -> q0 : 11/-", "q0 -> zz : 1/-"),
+                         "line 7: unknown state 'zz'", id="names-first"),
+            # a line ends at a newline only: a form feed (where str.splitlines
+            # also splits) stays in its line, and so does a record separator
+            pytest.param(_doc("q0 -> q9 : -/-").replace("initial: q0", "initial: q0\x0c"),
+                         "line 6: unknown state 'q9'", id="form-feed"),
+            pytest.param(_doc("q0 -> q0 : 0/0\x1cq0 -> qv : 1/-"),
+                         "line 6: cannot parse transition 'q0 -> q0 : 0/0\\x1cq0 -> qv : 1/-'",
+                         id="record-separator"),
+            pytest.param(COMMENTED.replace("\n", "\r\n"),
+                         "line 9: input pattern '0-' has 2 positions, expected 1", id="crlf"),
+            pytest.param(COMMENTED.replace("\n", "\r"),
+                         "line 9: input pattern '0-' has 2 positions, expected 1", id="cr"),
         ],
     )
-    def test_parse_error_messages_and_line_numbers(self, extra, message):
-        # a pattern read a second time comes from the memo; the message is the same
-        lines = ["inputs: A", "outputs: B", "states: q0 qv", "initial: q0", "violating: qv"]
+    def test_parse_error_messages_and_line_numbers(self, text, message):
+        # a label read a second time comes from the memo; the message is the same
         for _ in range(2):
             with pytest.raises(ParseError) as caught:
-                parse_automaton("\n".join(lines + extra))
+                parse_automaton(text)
             assert str(caught.value) == message
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_every_newline_ends_a_line_alike(self, newline):
+        assert parse_automaton(MUTEX_DOC.replace("\n", newline)) == parse_automaton(MUTEX_DOC)
+        assert parse_automaton(S1_DOC.replace("\n", newline)) == parse_automaton(S1_DOC)
+
+    def test_a_cold_label_memo_parses_alike(self):
+        def outcome(text):
+            try:
+                return parse_automaton(text)
+            except ParseError as exc:
+                return str(exc)
+
+        for text in ROW_DOCUMENTS + [_doc("q0 -> q0 : 1/-", "q0 -> q0 : 11/-")]:
+            outcome(text)
+            warm = outcome(text)  # every label of the text is in the memo
+            automata._event_codes.cache_clear()
+            assert outcome(text) == warm
+        assert warm == "line 7: input pattern '11' has 2 positions, expected 1"
+
+    def test_the_label_memo_is_bounded(self):
+        assert automata._event_codes.cache_info().maxsize == 1024
+        codes = automata._event_codes("1-", "-", 2, 1)
+        assert codes == (4, 5, 6, 7) and type(codes) is tuple
+        assert automata._event_codes("1-", "-", 2, 1) is codes
 
 
 def _line_by_line(text):
@@ -226,9 +280,45 @@ def _relation_accepts(triples, initial, violating, word):
     return any(s != violating for s in frontier)
 
 
+def _wide_deterministic_document(seed=5):
+    """The ``synth`` benchmark mix's widest shape: 5 inputs, 3 outputs, 6
+    states, each branching four ways on two of the eight variables, so
+    every label fixes 2 positions and matches 64 events."""
+    rng = random.Random(seed)
+    states = [f"s{j}" for j in range(6)]
+    lines = ["inputs: i0 i1 i2 i3 i4", "outputs: o0 o1 o2", "states: " + " ".join(states) + " bad",
+             "initial: s0", "violating: bad"]
+    for j, src in enumerate(states):
+        guards = rng.sample(range(8), 2)
+        for branch in range(4):
+            label = ["-"] * 8
+            label[guards[0]], label[guards[1]] = "01"[branch >> 1], "01"[branch & 1]
+            dst = states[(j + 1) % 6] if branch == 0 else rng.choice(states + ["bad"])
+            lines.append(f"{src} -> {dst} : {''.join(label[:5])}/{''.join(label[5:])}")
+    return "\n".join(lines) + "\n"
+
+
+def _overlapping_document(seed=8):
+    """3 inputs, 2 outputs, 4 states, three random wildcard labels per
+    state: the labels overlap, so the relation is nondeterministic."""
+    rng = random.Random(seed)
+
+    def pattern(width):
+        return "".join("-" if rng.random() < 0.5 else rng.choice("01") for _ in range(width))
+
+    states = [f"s{j}" for j in range(4)]
+    lines = ["inputs: a b c", "outputs: x y", "states: " + " ".join(states) + " bad",
+             "initial: s0", "violating: bad"]
+    for src in states:
+        for k in range(3):
+            dst = rng.choice(states + ["bad"] if k else states)
+            lines.append(f"{src} -> {dst} : {pattern(3)}/{pattern(2)}")
+    return "\n".join(lines) + "\n"
+
+
 ROW_DOCUMENTS = [S1_DOC, MUTEX_DOC] + [
     path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.aut"))
-]
+] + [_wide_deterministic_document(), _overlapping_document()]
 
 
 class TestRows:
@@ -276,7 +366,9 @@ class TestRows:
     def test_parsed_and_built_step_alike(self):
         for text in ROW_DOCUMENTS:
             raw, (built, triples) = parse_automaton(text), _line_by_line(text)
-            for length in range(3):
+            # words of length 2 over 8 events; the wide documents' 256 and
+            # 32 events stop at length 1
+            for length in range(3 if len(raw.alphabet.events) <= 8 else 2):
                 for word in itertools.product(raw.alphabet.events, repeat=length):
                     assert raw.accepts(word) == built.accepts(word)
                     assert raw.accepts(word) == _relation_accepts(

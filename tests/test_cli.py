@@ -1,7 +1,8 @@
 """CLI runs that a row of ``test_cli_cases.CASES`` cannot hold: runs
 chained through the files they write, a trace read back and checked
 record by record, a run with ``Enforcer.tick`` patched, ``--out`` through
-a symlink, and the memory a long ``simulate`` run takes.
+a symlink, the memory a long ``simulate`` run takes, and a run whose
+reader closes its stdout.
 """
 
 import dataclasses
@@ -183,3 +184,18 @@ def test_simulate_streams_its_trace(s1_file, tmp_path):
     assert (after - before) * unit < 10 * 2**20
     with open(out, encoding="utf-8") as handle:
         assert sum(1 for _ in handle) == 300001
+
+
+def test_a_closed_stdout_ends_the_run_quietly(s1_file):
+    """A reader that stops after two lines (``| head -2``) closes the pipe;
+    the run stops with 141, as a shell reports SIGPIPE, and says nothing."""
+    argv = [sys.executable, "-m", "syncguard.cli", "simulate", s1_file, "const:1",
+            "--ticks", "200000"]
+    run = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(SRC)},
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [run.stdout.readline() for _ in range(2)]
+    run.stdout.close()
+    stderr = run.stderr.read()
+    assert run.wait(timeout=60) == 141
+    assert stderr == b""
+    assert lines[0].startswith(b"# syncguard simulate ") and lines[1].startswith(b"0\t")

@@ -252,6 +252,11 @@ CASES: list[Case] = [
          "witness (shortest accepted word reaching q1): 0/0\n"),
     _row("check-malformed", "check broken.aut", {"broken.aut": "inputs: A\nstates: q0\n"}, 2,
          stderr="error: missing 'outputs:' declaration\n"),
+    # a line ends at a newline only: a record separator stays in its line
+    _row("check-record-separator", "check rs.aut",
+         {"rs.aut": "inputs: A\noutputs: B\nstates: q0 qv\ninitial: q0\nviolating: qv\n"
+          "q0 -> q0 : 0/0\x1cq0 -> qv : 1/-\n"}, 2,
+         stderr="error: line 6: cannot parse transition 'q0 -> q0 : 0/0\\x1cq0 -> qv : 1/-'\n"),
     _row("check-missing-file", "check missing.aut", {}, 2,
          stderr="error: [Errno 2] No such file or directory: 'missing.aut'\n"),
     # more than 16 interface variables is refused before any event is enumerated

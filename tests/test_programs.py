@@ -12,6 +12,8 @@ from syncguard import (
     null_program,
     parse_program,
 )
+from syncguard.automata import _parse_document
+from syncguard.programs import _MEALY_HEADER_KEYS
 
 from .strategies import mutated_documents
 
@@ -113,13 +115,48 @@ class TestMealyParsing:
         with pytest.raises(ParseError, match=message):
             parse_program("\n".join(lines))
 
+    def test_document_parses_to_the_line_by_line_program(self):
+        assert _same_program(ABO_DOC)
+
     @settings(max_examples=200, deadline=None)
     @given(text=mutated_documents(ABO_DOC))
     def test_mutated_document_parses_or_raises_value_error(self, text):
+        # ParseError is a ValueError; the two readings must agree on the text
+        _same_program(text)
+
+
+def _line_by_line(text):
+    """A program document's table rebuilt one transition line at a time,
+    each label expanded to its events by ``Alphabet.expand_event_pattern``:
+    a line maps each event's input to its target and the event's output,
+    and two lines (or one line's own events) that map an input of one
+    state differently conflict."""
+    _, alphabet, states, initial, lines = _parse_document(text, _MEALY_HEADER_KEYS)
+    transitions = {}
+    for _, src, dst, in_pat, out_pat in lines:
+        for event in alphabet.expand_event_pattern(f"{in_pat}/{out_pat}"):
+            target = (dst, event.output)
+            if transitions.setdefault((src, event.input), target) != target:
+                raise ValueError(f"conflicting transition from {src!r} on input {event.input}")
+    return MealyProgram(alphabet, states, initial, transitions)
+
+
+def _same_program(text):
+    """Check that ``parse_program`` and the line-by-line reference both
+    refuse the text or give equal programs; true when they parse it."""
+    outcomes = []
+    for parse in (parse_program, _line_by_line):
         try:
-            parse_program(text)
-        except ValueError:  # ParseError is a subclass
-            pass
+            outcomes.append(parse(text))
+        except ValueError:
+            outcomes.append(None)
+    parsed, built = outcomes
+    assert (parsed is None) == (built is None), (parsed, built)
+    if parsed is None:
+        return False
+    assert (parsed.alphabet, parsed.initial) == (built.alphabet, built.initial)
+    assert parsed.transitions == built.transitions
+    return True
 
 
 class TestMealyConstruction:
