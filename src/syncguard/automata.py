@@ -34,7 +34,8 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .bits import Alphabet, BitVector, Event, _codes
+from . import bits
+from .bits import WILDCARD, Alphabet, BitVector, Event, _codes
 
 VIOLATING_NAME = "qv"
 
@@ -362,7 +363,8 @@ def parse_automaton(text: str) -> RawAutomaton:
     :class:`RawAutomaton`); no event or triple is built, and the rows,
     checked line by line here, are not checked again.  A label's event
     codes come from :func:`_event_codes`, once per distinct label and
-    interface shape, as labels recur across lines and documents.
+    interface shape, as labels recur across lines and documents; a label
+    of more than 64 events is expanded on each of its lines instead.
     """
     headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     violating = _single_state(headers, "violating", states)
@@ -370,9 +372,14 @@ def parse_automaton(text: str) -> RawAutomaton:
     position = {s: i for i, s in enumerate(states)}
     n_in, n_out = len(alphabet.inputs), len(alphabet.outputs)
     rows = [[0] * len(alphabet.events) for _ in states]
+    limit = bits._MEMO_WILDCARDS
+    narrow = n_in + n_out <= limit  # then no label matches more than 2**limit events
     for lineno, src, dst, in_pat, out_pat in lines:
         try:
-            codes = _event_codes(in_pat, out_pat, n_in, n_out)
+            if narrow or in_pat.count(WILDCARD) + out_pat.count(WILDCARD) <= limit:
+                codes = _event_codes(in_pat, out_pat, n_in, n_out)
+            else:
+                codes = _label_codes(in_pat, out_pat, n_in, n_out)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         if src == violating and dst != violating:
@@ -384,19 +391,22 @@ def parse_automaton(text: str) -> RawAutomaton:
     return RawAutomaton._trusted(alphabet, states, initial, violating, tuple(map(tuple, rows)))
 
 
-@lru_cache(maxsize=1024)
-def _event_codes(in_pat: str, out_pat: str, n_in: int, n_out: int) -> tuple[int, ...]:
+def _label_codes(in_pat: str, out_pat: str, n_in: int, n_out: int) -> tuple[int, ...]:
     """Codes of the events an ``in_pat/out_pat`` label matches over
     ``n_in`` inputs and ``n_out`` outputs, ascending.
 
     Built from the two sides' :func:`~syncguard.bits._codes`, input
-    pattern first, so a malformed label raises that ``ValueError`` on
-    every call (errors are not cached).  At worst the memo holds 1024
-    labels of 2**16 codes each, one per event of a 16-variable interface.
+    pattern first, so a malformed label raises that ``ValueError``.
     """
     xs = _codes(in_pat, n_in, "input")
     ys = _codes(out_pat, n_out, "output")
     return tuple([(x << n_out) | y for x in xs for y in ys])
+
+
+# :func:`_label_codes`, memoized; ``parse_automaton`` asks it only for a label
+# of at most :data:`~syncguard.bits._MEMO_WILDCARDS` wildcards (64 events), so
+# it holds at most 1024 labels of 64 codes.  Errors are not cached.
+_event_codes = lru_cache(maxsize=1024)(_label_codes)
 
 
 def _parse_document(

@@ -119,7 +119,9 @@ class ConstantProgram:
     __slots__ = ("outputs",)
 
     def __init__(self, alphabet: Alphabet, outputs: BitVector):
-        if len(outputs) != len(alphabet.outputs):
+        if not isinstance(outputs, BitVector):
+            raise ValueError(f"constant output must be a BitVector, got {outputs!r}")
+        if len(outputs.bits) != len(alphabet.outputs):
             raise ValueError("output width mismatch")
         self.outputs = outputs
 

@@ -89,9 +89,11 @@ _set_t, _set_observed, _set_released, _set_state_after = (
 class Enforcer:
     """Stateful enforcer for one enforceable safety automaton.
 
-    Construction checks the policy name and the repair seed (ValueError
-    before anything is built), takes the safe-event sets (through the input projection) and,
-    for observed-independent policies, builds the repair table (one pick
+    Construction checks that the automaton is a :class:`SafetyAutomaton`
+    (a parsed one must be normalized first), the policy name and the
+    repair seed (ValueError before anything is built), takes the
+    safe-event sets (through the input projection) and, for
+    observed-independent policies, builds the repair table (one pick
     per distinct safe set, keyed by the set); it fails with the
     enforceability report if the automaton has dead locations.  The
     enforcers of one automaton object that are alive at once share one
@@ -119,6 +121,11 @@ class Enforcer:
         policy: str = NEAREST,
         seed: Optional[int] = None,
     ):
+        if not isinstance(automaton, SafetyAutomaton):
+            raise ValueError(
+                f"an Enforcer needs a SafetyAutomaton, got {type(automaton).__name__}: "
+                "normalize a parsed automaton first"
+            )
         policy = canonical_policy(policy)
         check_seed(seed)
         self.automaton = automaton
@@ -313,15 +320,21 @@ def enforce_word(
     them tick by tick, so the result is the enforcement function applied
     to the word.  Passing an existing :class:`Enforcer` resets it first
     (its policy wins over the arguments, which are still checked: an
-    unknown policy or a malformed seed raises ``ValueError`` first).
+    unknown policy or a malformed seed raises ``ValueError`` first).  An
+    observed event not in the automaton's alphabet raises ``ValueError``
+    before the first tick, as it does in ``oracle_enforce``.
     """
     if isinstance(enforcer_or_automaton, Enforcer):
         canonical_policy(policy)
         check_seed(seed)
         enforcer = enforcer_or_automaton
-        enforcer.reset()
     else:
         enforcer = Enforcer(enforcer_or_automaton, policy, seed)
+    observed = tuple(observed)  # read three times: an iterator would run dry after the first
+    code = enforcer.automaton.alphabet.code
+    for event in observed:
+        code(event)
+    enforcer.reset()
     script = ScriptedProgram([e.output for e in observed])
     return tuple(
         record.released

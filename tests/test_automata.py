@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ from syncguard import (
     project_inputs,
     render_automaton,
 )
-from syncguard import automata
+from syncguard import automata, bits
 from syncguard.automata import _AUTOMATON_KEYS, _parse_document
 
 from .strategies import mutated_documents, raw_automata, raw_relations, safety_automata, words
@@ -40,6 +43,7 @@ def ev(text):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 MUTEX_DOC = (GOLDEN / "mutex.aut").read_text(encoding="utf-8")
 
 S1_DOC = """
@@ -237,25 +241,78 @@ class TestParse:
         assert parse_automaton(MUTEX_DOC.replace("\n", newline)) == parse_automaton(MUTEX_DOC)
         assert parse_automaton(S1_DOC.replace("\n", newline)) == parse_automaton(S1_DOC)
 
-    def test_a_cold_label_memo_parses_alike(self):
+    def test_the_label_memo_is_bounded(self):
+        assert automata._event_codes.cache_info().maxsize == 1024
+        codes = automata._event_codes("1-", "-", 2, 1)
+        assert codes == (4, 5, 6, 7) and type(codes) is tuple
+        assert automata._event_codes("1-", "-", 2, 1) is codes
+        # a label of more than 64 events is not kept: the parser expands it
+        automata._event_codes.cache_clear()
+        parse_automaton(_doc("q0 -> q0 : 1/-"))
+        parse_automaton("\n".join(WIDE_HEAD + ["s0 -> s0 : ----/---"]))
+        assert automata._event_codes.cache_info().currsize == 1
+
+    def test_memoized_and_expanded_labels_parse_alike(self, monkeypatch):
         def outcome(text):
             try:
                 return parse_automaton(text)
             except ParseError as exc:
                 return str(exc)
 
-        for text in ROW_DOCUMENTS + [_doc("q0 -> q0 : 1/-", "q0 -> q0 : 11/-")]:
-            outcome(text)
-            warm = outcome(text)  # every label of the text is in the memo
+        texts = ROW_DOCUMENTS + [
+            _doc("q0 -> q0 : 1/-", "q0 -> q0 : 11/-"),
+            "\n".join(WIDE_HEAD + ["s0 -> s0 : 1---/---", "s0 -> bad : 0---/-1-", "s0 -> s0 : 0-1-/-0-"]),
+            "\n".join(WIDE_HEAD + ["s0 -> s0 : 1---/---", "s0 -> s0 : ----/----"]),
+        ]
+        expected = [outcome(text) for text in texts]
+        assert expected[-1] == "line 7: output pattern '----' has 4 positions, expected 3"
+        # from a cold memo: every label expanded, every label memoized, the default
+        for limit in (-1, 16, bits._MEMO_WILDCARDS):
+            monkeypatch.setattr(bits, "_MEMO_WILDCARDS", limit)
             automata._event_codes.cache_clear()
-            assert outcome(text) == warm
-        assert warm == "line 7: input pattern '11' has 2 positions, expected 1"
+            bits._memo_codes.cache_clear()
+            assert [outcome(text) for text in texts] == expected
 
-    def test_the_label_memo_is_bounded(self):
-        assert automata._event_codes.cache_info().maxsize == 1024
-        codes = automata._event_codes("1-", "-", 2, 1)
-        assert codes == (4, 5, 6, 7) and type(codes) is tuple
-        assert automata._event_codes("1-", "-", 2, 1) is codes
+    def test_wide_labels_leave_no_memory_behind(self):
+        """32 distinct labels of 16,384 events each over 8 inputs and 8
+        outputs, and 32 over 16 inputs: memoized, as every label once was,
+        they grew the peak RSS by 62 MB on CPython 3.11; expanded on each
+        line, by 3.5 MB."""
+        result = subprocess.run(
+            [sys.executable, "-c", WIDE_LABEL_PROBE],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        before, after = map(int, result.stdout.split())
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, else KiB
+        assert (after - before) * unit < 16 * 2**20
+
+
+# A 4 x 3 interface, where a label of 7 wildcards matches 128 events.
+WIDE_HEAD = ["inputs: a b c d", "outputs: x y z", "states: s0 bad", "initial: s0", "violating: bad"]
+
+
+# Parses 32 labels that each fix two of 16 variables to 1, over 8 inputs and
+# 8 outputs and over 16 inputs; prints the peak RSS before and after.
+WIDE_LABEL_PROBE = """
+import itertools, resource
+from syncguard import Alphabet, parse_automaton
+
+texts = []
+for n_in in (8, 16):
+    names = ["i%d" % k for k in range(n_in)], ["o%d" % k for k in range(16 - n_in)]
+    Alphabet(*names).events  # the event table is built once either way
+    head = ["inputs: " + " ".join(names[0]), "outputs: " + " ".join(names[1]),
+            "states: s0 bad", "initial: s0", "violating: bad"]
+    pairs = itertools.islice(itertools.combinations(range(16), 2), 32)
+    labels = ["".join("1" if k in pair else "-" for k in range(16)) for pair in pairs]
+    lines = ["s0 -> s0 : %s/%s" % (label[:n_in], label[n_in:]) for label in labels]
+    texts += ["\\n".join(head + lines[k : k + 8]) for k in range(0, 32, 8)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for text in texts:
+    parse_automaton(text)
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def _line_by_line(text):

@@ -148,8 +148,12 @@ def test_pattern_codes_are_memoized_tuples():
     assert codes == (4, 6) and type(codes) is tuple
     assert bits._codes("1-0", 3, "input") is codes
     assert bits._codes("", 0, "output") == (0,)
-    # bounded, as the memo lives for the whole process
-    assert bits._codes.cache_info().maxsize is not None
+    # bounded, as the memo lives for the whole process: at most 1024
+    # patterns, each of at most 64 codes; a wider one is built on every call
+    assert bits._memo_codes.cache_info().maxsize == 1024
+    assert bits._codes("1------", 7, "input") is bits._codes("1------", 7, "input")
+    wide = bits._codes("1-------", 8, "input")
+    assert wide == tuple(range(128, 256)) and bits._codes("1-------", 8, "input") is not wide
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pickle
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from syncguard import (
     SEEDED_RANDOM,
     Alphabet,
     BitVector,
+    ConstantProgram,
     Enforcer,
     Event,
     SafetyAutomaton,
@@ -25,12 +27,14 @@ from syncguard import (
     check_constraints,
     check_enforceability,
     dead_end_branch,
+    dead_end_branch_repaired,
     enforce_word,
     mutual_exclusion,
     non_enforceability_witness,
     normalize,
     oracle_enforce,
     parse_automaton,
+    random_enforceable_automata,
     validate_witness,
 )
 from syncguard.bits import format_word
@@ -54,27 +58,6 @@ class TestOracleEnforce:
 
     def test_empty_word(self):
         assert oracle_enforce(mutual_exclusion(), ()) == ()
-
-    def test_agrees_with_runtime_on_exhaustive_slice(self, enforceable_family):
-        for a in enforceable_family[::50]:
-            enforcer = Enforcer(a, NEAREST)
-            for length in range(4):
-                for observed in itertools.product(a.alphabet.events, repeat=length):
-                    assert oracle_enforce(a, observed, NEAREST) == enforce_word(
-                        enforcer, observed
-                    )
-
-    def test_agrees_with_runtime_on_named_automata(self):
-        from syncguard import dead_end_branch_repaired
-
-        for a in (mutual_exclusion(), dead_end_branch_repaired()):
-            for policy in POLICIES:
-                enforcer = Enforcer(a, policy, seed=7)
-                for length in range(4):
-                    for observed in itertools.product(a.alphabet.events, repeat=length):
-                        assert oracle_enforce(a, observed, policy, seed=7) == enforce_word(
-                            enforcer, observed
-                        )
 
     def test_state_sensitive_input_retention(self):
         # Two outputs lead out of q0 into different locations whose safe
@@ -151,14 +134,20 @@ class TestCheckConstraints:
         assert len(restores) == size + size**2 + size**3
         assert ticks == expected
 
-    def test_enforcer_freed_on_return_without_the_cyclic_collector(self):
-        # a copy no other code holds, so no live enforcer elsewhere lends its sets
-        a = copy.copy(mutual_exclusion())
+    def test_enforcer_freed_on_return_without_the_cyclic_collector(self, monkeypatch):
+        probes = []
+
+        class Probed(Enforcer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                probes.append(weakref.ref(self))
+
+        monkeypatch.setattr(syncguard.harness, "Enforcer", Probed)
         gc.disable()
         try:
-            report = check_constraints(a, "lex", max_len=2)
+            report = check_constraints(mutual_exclusion(), "lex", max_len=2)
             assert report.passed
-            assert a._edit_sets is not None and a._edit_sets() is None
+            assert len(probes) == 1 and probes[0]() is None
         finally:
             gc.enable()
 
@@ -493,7 +482,11 @@ class _PeeksAtOutput(Enforcer):
     def tick(self, inputs, program):
         output = program(inputs)  # once per tick, so a script stays in step
         if output.code:
-            inputs = max(self.edit_sets.safe_inputs[self.location], key=lambda x: x.code)
+            a = self.automaton
+            row, trap = a.table[a.index[self.location]], a.index[a.violating]
+            # an input is safe iff some event with it stays out of the trap
+            safe = max(code for code, r in enumerate(row) if r != trap)
+            inputs = a.alphabet.input_events[safe >> len(a.alphabet.outputs)]
         return super().tick(inputs, lambda _: output)
 
 
@@ -533,6 +526,121 @@ MUTANT_DIGEST = "96d736d605fa53162202cbf0fe7e15c54beeb40082095aad319eb17299fe447
 @pytest.fixture(scope="module")
 def mutant_slice(enforceable_family, random_family):
     return [mutual_exclusion()] + enforceable_family[::250] + random_family[::20]
+
+
+def shortest_words(a, reverse=False):
+    """Each reachable accepting location's shortest accepted word, by
+    location number: breadth first over ``a.table``, never into the trap,
+    trying events in code order (descending if ``reverse``)."""
+    table, events, trap = a.table, a.alphabet.events, a.index[a.violating]
+    codes = range(len(events))[:: -1 if reverse else 1]
+    words, frontier = {a.index[a.initial]: ()}, [a.index[a.initial]]
+    for q in frontier:
+        for code in codes:
+            r = table[q][code]
+            if r != trap and r not in words:
+                words[r] = words[q] + (events[code],)
+                frontier.append(r)
+    return words
+
+
+def sweep(a, policies, seed, runtime=Enforcer):
+    """Per policy, None or the first ``(check, location number, event,
+    released event)`` at which ``runtime`` parts from the oracle.
+
+    Each event e is ticked from ``(q, 0)``, for each reachable accepting
+    location q, and must be released as ``oracle_step`` releases it after
+    q's shortest word, observed as e, and followed by the table's successor
+    as the state after and as the location.  A decision depends only on
+    the location, and the oracle reads a prefix only through its location
+    (pinned below), so by induction this holds for words of every length.
+    """
+    words, alphabet, locations = shortest_words(a), a.alphabet, a.locations
+    programs = [ConstantProgram(alphabet, y) for y in alphabet.output_events]
+
+    def first_failure(enforcer, policy):
+        for q, word in words.items():
+            for e in alphabet.events:
+                enforcer.restore((locations[q], 0))
+                record = enforcer.tick(e.input, programs[e.output.code])
+                released, after = record.released, locations[a.table[q][record.released.code]]
+                for check, ok in (
+                    ("released", released is oracle_step(a, word, e, policy, seed)),
+                    ("observed", record.observed is e),
+                    ("state_after", record.state_after == after),
+                    ("location", enforcer.location == after),
+                ):
+                    if not ok:
+                        return (check, q, e, released)
+        return None
+
+    # built before any is swept, so the enforcers share one build of the safe sets
+    enforcers = [runtime(a, policy, seed) for policy in policies]
+    return [first_failure(enforcer, policy) for enforcer, policy in zip(enforcers, policies)]
+
+
+@pytest.fixture(scope="module")
+def multi_bit_families():
+    """Where an output repair chooses: 2 inputs and 2 outputs, 1 input and 3 outputs."""
+    shapes = ((("A", "B"), ("R", "S")), (("A",), ("R", "S", "T")))
+    return [random_enforceable_automata(Alphabet(*shape), 200, 4, seed=42) for shape in shapes]
+
+
+class TestAgreementSweep:
+    @staticmethod
+    def _agrees(automata, policies, seeds):
+        for a in automata:
+            assert len(shortest_words(a)) == len(a.accepting_locations)
+            for seed in seeds:
+                assert sweep(a, policies, seed) == [None] * len(policies), (a, seed)
+
+    def test_on_the_criteria_corpus(self, enforceable_family, random_family):
+        named = [mutual_exclusion(), dead_end_branch_repaired()]
+        self._agrees(enforceable_family + random_family + named, POLICIES, [7])
+
+    def test_on_the_multi_bit_families(self, multi_bit_families):
+        self._agrees(multi_bit_families[0] + multi_bit_families[1], POLICIES, [0, 5])
+
+    @pytest.mark.parametrize("policy", POLICIES + ("lex", "random"))
+    def test_under_every_policy_name_and_seed_built_alone(self, policy):
+        automata = [mutual_exclusion(), dead_end_branch_repaired(), _random19(), _one_safe_output()]
+        self._agrees(automata, [policy], range(6))
+
+    def test_the_oracle_reads_a_released_prefix_only_through_its_location(
+        self, enforceable_family, random_family, multi_bit_families
+    ):
+        # each word asks its own copy, so no answer comes from the other's memo
+        compared = 0
+        for a in enforceable_family + random_family + multi_bit_families[0]:
+            forward, backward = shortest_words(a), shortest_words(a, reverse=True)
+            first, second = copy.copy(a), copy.copy(a)
+            for q in (q for q in forward if forward[q] != backward[q]):
+                for e, policy in itertools.product(a.alphabet.events, POLICIES):
+                    compared += 1
+                    answer = oracle_step(first, forward[q], e, policy, 7)
+                    assert answer is oracle_step(second, backward[q], e, policy, 7)
+        assert compared == 48_072
+
+    def test_every_committed_mutant_is_caught(self, mutant_slice, multi_bit_families):
+        # failing (automaton, policy) units of mutant_slice and the 2x2
+        # family, and the checks they fail first
+        caught = {
+            "skips_output_repair": (672, {"released"}),
+            "skips_input_repair": (78, {"released"}),
+            "holds_location": (522, {"location"}),
+            "peeks_at_output": (681, {"released", "observed"}),
+            "repairs_toward_the_trap": (672, {"released"}),
+        }
+        failures = {}
+        for name, mutant in {**MUTANTS, "repairs_toward_the_trap": _RepairsTowardTheTrap}.items():
+            failures[name] = [sweep(a, POLICIES, 7, mutant) for a in mutant_slice + multi_bit_families[0]]
+            found = [f for unit in failures[name] for f in unit if f]
+            assert (len(found), {f[0] for f in found}) == caught[name], name
+        # over one output bit both fail first at the same units and events;
+        # over two their first failures part
+        n = len(mutant_slice)
+        toward, skips = failures["repairs_toward_the_trap"], failures["skips_output_repair"]
+        assert toward[:n] == skips[:n] and toward[n:] != skips[n:]
 
 
 class TestRuntimePathCounterexamples:
@@ -600,6 +708,10 @@ class TestRuntimePathCounterexamples:
         mutant, skips = _RepairsTowardTheTrap(a), _SkipsOutputRepair(a)
         words = [(e,) for e in a.alphabet.events]
         assert any(enforce_word(mutant, w) != enforce_word(skips, w) for w in words)
+
+
+def _random19() -> SafetyAutomaton:
+    return normalize(parse_automaton((Path(__file__).parent / "golden" / "random19.aut").read_text()))
 
 
 def _one_safe_output() -> SafetyAutomaton:
@@ -706,11 +818,7 @@ class TestOracleStepDefinition:
         return alphabet.event(x, y)
 
     def test_every_accepted_prefix_and_event(self, random_family):
-        golden = Path(__file__).parent / "golden"
-        automata = [
-            mutual_exclusion(),
-            normalize(parse_automaton((golden / "random19.aut").read_text())),
-        ] + random_family[::10]
+        automata = [mutual_exclusion(), _random19()] + random_family[::10]
         for a in automata:
             events = a.alphabet.events
             prefixes = [
@@ -732,12 +840,8 @@ class TestOracleRepairMemo:
     as a cold copy of it and as the definition does."""
 
     def test_warmed_answers_equal_cold_copies_and_the_definition(self):
-        golden = Path(__file__).parent / "golden"
         policies = POLICIES + ("lex", "random")
-        for a in (
-            copy.copy(mutual_exclusion()),
-            normalize(parse_automaton((golden / "random19.aut").read_text())),
-        ):
+        for a in (copy.copy(mutual_exclusion()), _random19()):
             events = a.alphabet.events
             prefixes = [
                 w for n in range(3) for w in itertools.product(events, repeat=n) if a.accepts(w)

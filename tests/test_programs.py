@@ -223,8 +223,12 @@ def test_constant_program():
     program = ConstantProgram(alpha, bv("10"))
     assert program(bv("0")) == bv("10")
     assert program(bv("1")) == bv("10")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^output width mismatch$"):
         ConstantProgram(alpha, bv("1"))
+    # refused when built, not on the first tick
+    for outputs in ("10", (1, 0), 2):
+        with pytest.raises(ValueError, match="^constant output must be a BitVector, got "):
+            ConstantProgram(alpha, outputs)
 
 
 def test_scripted_program_replays_and_resets():

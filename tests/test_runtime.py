@@ -27,6 +27,8 @@ from syncguard import (
     SimConfig,
     SyntheticProgram,
     TickRecord,
+    bench,
+    check_constraints,
     dead_end_branch,
     enforce_word,
     mutual_exclusion,
@@ -39,7 +41,6 @@ from syncguard import (
     simulate,
 )
 from syncguard import runtime
-from syncguard.editing import select
 from syncguard.trace import format_record
 
 from .strategies import mealy_programs, words
@@ -242,69 +243,6 @@ class TestFastRecord:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(record, name)
             assert repr(record) == before
-
-
-class TestDecision:
-    """Every single-tick decision at every accepting location, for every
-    observed input and output and every policy, against the rule read off
-    the automaton: keep the observed vector iff it is in its safe set,
-    else release the policy's pick from that set."""
-
-    @staticmethod
-    def _safe_outputs(a, q, x):
-        event = a.alphabet.event
-        return frozenset(
-            y for y in a.alphabet.output_events if a.delta[(q, event(x, y))] != a.violating
-        )
-
-    def test_every_decision_follows_the_rule(self, random_family):
-        automata = [
-            mutual_exclusion(),
-            normalize(parse_automaton((GOLDEN / "random19.aut").read_text())),
-        ] + random_family[::10]
-        for a in automata:
-            alphabet = a.alphabet
-            for policy in POLICIES:
-                enforcer = Enforcer(a, policy, seed=5)
-                for q in a.accepting_locations:
-                    safe_inputs = frozenset(
-                        x for x in alphabet.input_events if self._safe_outputs(a, q, x)
-                    )
-                    for x in alphabet.input_events:
-                        keep_x = x in safe_inputs
-                        fixed_x = x if keep_x else select(safe_inputs, x, policy, 5)
-                        safe_outputs = self._safe_outputs(a, q, fixed_x)
-                        for y in alphabet.output_events:
-                            keep_y = y in safe_outputs
-                            fixed_y = y if keep_y else select(safe_outputs, y, policy, 5)
-                            enforcer.restore((q, 0))
-                            record = enforcer.tick(x, lambda _: y)
-                            released = alphabet.event(fixed_x, fixed_y)
-                            assert record.observed == alphabet.event(x, y)
-                            assert record.released == released, (policy, q, x, y)
-                            assert (record.input_edited, record.output_edited) == (
-                                not keep_x,
-                                not keep_y,
-                            )
-                            assert record.state_after == a.delta[(q, released)]
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_edited_tick_observes_the_shared_event(self, policy):
-        # input edits, output edits and both, at every location of two properties
-        kinds = set()
-        random19 = normalize(parse_automaton((GOLDEN / "random19.aut").read_text()))
-        for a in (mutual_exclusion(), random19):
-            alphabet = a.alphabet
-            enforcer = Enforcer(a, policy, seed=5)
-            for q in a.accepting_locations:
-                for x in alphabet.input_events:
-                    for y in alphabet.output_events:
-                        enforcer.restore((q, 0))
-                        record = enforcer.tick(x, lambda _: y)
-                        if record.input_edited or record.output_edited:
-                            kinds.add((record.input_edited, record.output_edited))
-                            assert record.observed is Event(x, y), (policy, q, x, y)
-        assert kinds == {(True, False), (False, True), (True, True)}
 
 
 class TestRejectedTick:
@@ -651,6 +589,7 @@ class TestEnforceWord:
         assert a.accepts(observed)
         for policy in (NEAREST, LEXICOGRAPHIC, SEEDED_RANDOM):
             assert enforce_word(a, observed, policy, seed=4) == observed
+        assert enforce_word(a, iter(observed)) == observed  # an iterator is read once
 
     def test_seeded_policy_is_reproducible(self):
         a = mutual_exclusion()
@@ -658,6 +597,30 @@ class TestEnforceWord:
         first = enforce_word(a, observed, SEEDED_RANDOM, seed=21)
         second = enforce_word(a, observed, SEEDED_RANDOM, seed=21)
         assert first == second
+
+    @pytest.mark.parametrize("observed", [["junk"], [ev("11/1"), None], [ev("1/1")]],
+                             ids=["str", "none", "foreign"])
+    def test_a_word_of_foreign_events_is_refused_before_the_reset(self, observed):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        enforcer.tick(bv("10"), parse_program(CONSTANT_ONE))
+        for target in (enforcer, mutual_exclusion()):
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                enforce_word(target, observed)
+        assert enforcer.ticks == 1
+
+
+def test_a_parsed_automaton_is_refused_with_a_hint_to_normalize():
+    raw = parse_automaton(TOGGLE)
+    program = ConstantProgram(raw.alphabet, bv("1"))
+    for call in (
+        lambda: Enforcer(raw),
+        lambda: enforce_word(raw, ()),
+        lambda: check_constraints(raw, NEAREST, 1),
+        lambda: bench(raw, program, SimConfig(ticks=10, runs=1)),
+    ):
+        with pytest.raises(ValueError, match="^an Enforcer needs a SafetyAutomaton, got "
+                           "RawAutomaton: normalize a parsed automaton first$"):
+            call()
 
 
 # The policy-independent builders, called through the names ``runtime`` looks
@@ -789,47 +752,24 @@ def _row_contents(enforcer):
 
 class TestRows:
     """Each location's decisions are built on the first tick there and
-    read back with one lookup per side; they release what the safe sets
-    and the policy's pick define."""
+    read back with one lookup per side; ``sweep`` in ``test_oracle.py``
+    checks what they release against the oracle."""
 
-    def test_rows_release_what_the_sets_and_the_policy_define(
-        self, enforceable_family, random_family
-    ):
-        # the slice has one output bit, so an output repair there has one
-        # candidate; two-output automata make the output pick a choice
-        two_outputs = random_enforceable_automata(
-            Alphabet(("A",), ("R", "S")), count=6, max_accepting=3, seed=1
-        )
-        slice_ = [mutual_exclusion()] + enforceable_family[::250] + random_family[::20]
-        for a in slice_ + two_outputs:
-            alphabet, locations = a.alphabet, a.locations
-            for policy in POLICY_NAMES:
-                for seed in range(4):
-                    enforcer = Enforcer(a, policy, seed)
-                    sets = enforcer.edit_sets
-                    for q in a.accepting_locations:
-                        successors = a.table[a.index[q]]
-                        safe_inputs = sets.safe_inputs[q]
-                        for x in alphabet.input_events:
-                            fixed_x = x
-                            if x not in safe_inputs:
-                                fixed_x = select(safe_inputs, x, policy, seed)
-                            safe_outputs = sets.safe_outputs[(q, fixed_x)]
-                            for y in alphabet.output_events:
-                                fixed_y = y
-                                if y not in safe_outputs:
-                                    fixed_y = select(safe_outputs, y, policy, seed)
-                                enforcer.restore((q, 0))
-                                record = enforcer.tick(x, lambda _: y)
-                                released = alphabet.event(fixed_x, fixed_y)
-                                assert record.released is released, (policy, seed, q, x, y)
-                                assert record.observed is alphabet.event(x, y)
-                                assert record.state_after == locations[successors[released.code]]
-                    # at most one output entry per event of a visited location
-                    for q, row in enforcer._rows.items():
-                        outs = {id(o): o for _, o in row.values()}
-                        assert len(outs) == len(sets.safe_inputs[q])
-                        assert sum(map(len, outs.values())) <= len(alphabet.events)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_a_row_holds_one_output_dict_per_safe_input(self, policy):
+        # and at most one output entry per event of its location
+        two_outputs = random_enforceable_automata(Alphabet(("A",), ("R", "S")), 6, 3, seed=1)
+        random19 = normalize(parse_automaton((GOLDEN / "random19.aut").read_text()))
+        for a in [mutual_exclusion(), random19] + two_outputs:
+            enforcer, trap, width = Enforcer(a, policy, 1), a.index[a.violating], len(a.alphabet.outputs)
+            for q in a.accepting_locations:
+                for event in a.alphabet.events:
+                    enforcer.restore((q, 0))
+                    enforcer.tick(event.input, lambda _, y=event.output: y)
+                safe_inputs = {c >> width for c, r in enumerate(a.table[a.index[q]]) if r != trap}
+                outs = {id(o): o for _, o in enforcer._rows[q].values()}
+                assert len(outs) == len(safe_inputs)
+                assert sum(map(len, outs.values())) <= len(a.alphabet.events)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("side", ["input", "program output"])
