@@ -34,7 +34,6 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from . import bits
 from .bits import WILDCARD, Alphabet, BitVector, Event, _codes
 
 VIOLATING_NAME = "qv"
@@ -363,8 +362,8 @@ def parse_automaton(text: str) -> RawAutomaton:
     :class:`RawAutomaton`); no event or triple is built, and the rows,
     checked line by line here, are not checked again.  A label's event
     codes come from :func:`_event_codes`, once per distinct label and
-    interface shape, as labels recur across lines and documents; a label
-    of more than 64 events is expanded on each of its lines instead.
+    interface shape, as labels recur across lines and documents; a wider
+    label (see :data:`_MEMO_WILDCARDS`) from :func:`_label_codes` on each line.
     """
     headers, alphabet, states, initial, lines = _parse_document(text, _AUTOMATON_KEYS)
     violating = _single_state(headers, "violating", states)
@@ -372,7 +371,7 @@ def parse_automaton(text: str) -> RawAutomaton:
     position = {s: i for i, s in enumerate(states)}
     n_in, n_out = len(alphabet.inputs), len(alphabet.outputs)
     rows = [[0] * len(alphabet.events) for _ in states]
-    limit = bits._MEMO_WILDCARDS
+    limit = _MEMO_WILDCARDS
     narrow = n_in + n_out <= limit  # then no label matches more than 2**limit events
     for lineno, src, dst, in_pat, out_pat in lines:
         try:
@@ -403,9 +402,12 @@ def _label_codes(in_pat: str, out_pat: str, n_in: int, n_out: int) -> tuple[int,
     return tuple([(x << n_out) | y for x in xs for y in ys])
 
 
-# :func:`_label_codes`, memoized; ``parse_automaton`` asks it only for a label
-# of at most :data:`~syncguard.bits._MEMO_WILDCARDS` wildcards (64 events), so
-# it holds at most 1024 labels of 64 codes.  Errors are not cached.
+# The parser's one memo, :func:`_label_codes` per label: a document repeats
+# its labels.  ``parse_automaton`` asks it only for a label of at most
+# ``_MEMO_WILDCARDS`` wildcards (64 events), so it holds at most 1024 labels
+# of 64 codes; a wider one matches up to 2**16 events and is expanded again
+# on each of its lines.  Errors are not cached.
+_MEMO_WILDCARDS = 6
 _event_codes = lru_cache(maxsize=1024)(_label_codes)
 
 
@@ -569,7 +571,7 @@ def _canonical(alphabet: Alphabet, table: tuple[tuple[int, ...], ...]) -> Safety
     return SafetyAutomaton._trusted(alphabet, locations, "q0", VIOLATING_NAME, table, index)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _canonical_locations(count: int) -> tuple[tuple[str, ...], Mapping[str, int]]:
     """``q0 … q{count-1}`` and the trap, with their index: one pair per
     count, shared by every normalized automaton of that size."""

@@ -276,27 +276,9 @@ def _vector(text: str, width: int, side: str) -> BitVector:
     return BitVector.from_text(text)
 
 
-# Patterns of at most this many wildcards (2**6 = 64 codes) are memoized, and
-# so are labels by ``automata._event_codes``: a document repeats them on many
-# lines.  A wider one is expanded again on every call: one holds up to 2**16
-# codes, and a memo of 1024 such would keep hundreds of MB for the process.
-_MEMO_WILDCARDS = 6
-
-
 def _codes(pattern: str, width: int, side: str) -> tuple[int, ...]:
-    """Codes of the valuations a {0,1,-} pattern matches, ascending.
-
-    Memoized per pattern, width and side if the pattern has at most
-    :data:`_MEMO_WILDCARDS` wildcards, so the memo holds at most 1024
-    tuples of 64 codes.  A malformed pattern raises ``ValueError`` on
-    every call, as errors are not cached.
-    """
-    if pattern.count(WILDCARD) > _MEMO_WILDCARDS:
-        return _expand(pattern, width, side)
-    return _memo_codes(pattern, width, side)
-
-
-def _expand(pattern: str, width: int, side: str) -> tuple[int, ...]:
+    """Codes of the valuations a {0,1,-} pattern matches, ascending; a
+    malformed pattern raises ``ValueError``."""
     if len(pattern) != width:
         raise ValueError(
             f"{side} pattern {pattern!r} has {len(pattern)} positions, expected {width}"
@@ -310,6 +292,3 @@ def _expand(pattern: str, width: int, side: str) -> tuple[int, ...]:
         else:
             raise ValueError(f"invalid pattern character {c!r} in {pattern!r}")
     return tuple(codes)
-
-
-_memo_codes = lru_cache(maxsize=1024)(_expand)

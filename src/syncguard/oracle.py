@@ -49,12 +49,13 @@ def oracle_step(
     accepted.  Repairs use the same selection policy as the runtime,
     applied to sets recomputed here from the automaton alone.  ``policy``
     may be an alias (``lex``, ``random``); an unknown name, a seed
-    :func:`~syncguard.editing.check_seed` refuses, or an event that is
-    not in the alphabet raises ``ValueError``.  So does any
-    event after a prefix that reaches a dead location (one whose every
-    event violates, which only a non-enforceable automaton has): no input
-    is safe there, and :func:`~syncguard.editing.select` refuses an empty
-    set under every policy.
+    :func:`~syncguard.editing.check_seed` refuses, a ``released`` that
+    cannot be iterated, or an event not in the alphabet raises
+    ``ValueError``, and so does any event after a prefix that reaches a
+    dead location (one whose every event violates, which only a
+    non-enforceable automaton has): no input is safe there, and
+    :func:`~syncguard.editing.select` refuses an empty set under every
+    policy.
 
     Callers pass the same policy and seed for every step of a word, so
     each check costs one comparison when it passes: a canonical name is
@@ -76,7 +77,11 @@ def oracle_step(
         check_seed(seed)
     alphabet = automaton.alphabet
     trap = automaton.index[automaton.violating]
-    location = automaton.walk(released)
+    try:
+        location = automaton.walk(released)
+    except TypeError:
+        _iterate(released)  # a prefix that cannot be iterated is a ValueError
+        raise
     row = automaton.table[location]
     code = alphabet.code(observed)
     if row[code] != trap:
@@ -121,15 +126,23 @@ def oracle_enforce(
 ) -> Word:
     """Released word computed purely from words and membership.
 
-    The policy and the seed are checked once, before the first step, so
-    an empty word refuses them too.
+    The policy, the seed and that the word can be iterated are checked
+    once, before the first step, so an empty word refuses them too.
     """
     policy = canonical_policy(policy)
     check_seed(seed)
     released: Word = ()
-    for event in observed:
+    for event in _iterate(observed):
         released = released + (oracle_step(automaton, released, event, policy, seed),)
     return released
+
+
+def _iterate(word):
+    """An iterator over ``word``, or ``ValueError`` if it cannot be iterated."""
+    try:
+        return iter(word)
+    except TypeError:
+        raise ValueError(f"a word is an iterable of events, got {word!r}") from None
 
 
 def validate_witness(automaton: SafetyAutomaton, witness: Word) -> bool:

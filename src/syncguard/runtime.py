@@ -320,9 +320,9 @@ def enforce_word(
     them tick by tick, so the result is the enforcement function applied
     to the word.  Passing an existing :class:`Enforcer` resets it first
     (its policy wins over the arguments, which are still checked: an
-    unknown policy or a malformed seed raises ``ValueError`` first).  An
-    observed event not in the automaton's alphabet raises ``ValueError``
-    before the first tick, as it does in ``oracle_enforce``.
+    unknown policy or a malformed seed raises ``ValueError`` first).  A
+    word that cannot be iterated or holds an event not in the alphabet
+    raises ``ValueError`` before the first tick, as in ``oracle_enforce``.
     """
     if isinstance(enforcer_or_automaton, Enforcer):
         canonical_policy(policy)
@@ -330,7 +330,11 @@ def enforce_word(
         enforcer = enforcer_or_automaton
     else:
         enforcer = Enforcer(enforcer_or_automaton, policy, seed)
-    observed = tuple(observed)  # read three times: an iterator would run dry after the first
+    try:
+        words = iter(observed)
+    except TypeError:
+        raise ValueError(f"a word is an iterable of events, got {observed!r}") from None
+    observed = tuple(words)  # read three times: an iterator would run dry after the first
     code = enforcer.automaton.alphabet.code
     for event in observed:
         code(event)

@@ -8,7 +8,7 @@ from .automata import SafetyAutomaton, normalize, parse_automaton
 from .bits import Alphabet
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def mutual_exclusion(output: str = "R") -> SafetyAutomaton:
     """Two inputs A, B and one output: A,B never together, nor B with the output.
 
@@ -30,7 +30,7 @@ def mutual_exclusion(output: str = "R") -> SafetyAutomaton:
     return normalize(parse_automaton(doc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def at_most_one_tick() -> SafetyAutomaton:
     """Any first event is fine; every second event violates.
 
@@ -50,7 +50,7 @@ def at_most_one_tick() -> SafetyAutomaton:
     return normalize(parse_automaton(doc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def dead_end_branch() -> SafetyAutomaton:
     """Safe self-loops plus one branch into a location with no way out.
 
@@ -72,7 +72,7 @@ def dead_end_branch() -> SafetyAutomaton:
     return normalize(parse_automaton(doc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def dead_end_branch_repaired() -> SafetyAutomaton:
     """:func:`dead_end_branch` with the doomed branch redirected to the trap."""
     doc = """

@@ -32,7 +32,7 @@ from syncguard import (
     project_inputs,
     render_automaton,
 )
-from syncguard import automata, bits
+from syncguard import automata
 from syncguard.automata import _AUTOMATON_KEYS, _parse_document
 
 from .strategies import mutated_documents, raw_automata, raw_relations, safety_automata, words
@@ -267,10 +267,9 @@ class TestParse:
         expected = [outcome(text) for text in texts]
         assert expected[-1] == "line 7: output pattern '----' has 4 positions, expected 3"
         # from a cold memo: every label expanded, every label memoized, the default
-        for limit in (-1, 16, bits._MEMO_WILDCARDS):
-            monkeypatch.setattr(bits, "_MEMO_WILDCARDS", limit)
+        for limit in (-1, 16, automata._MEMO_WILDCARDS):
+            monkeypatch.setattr(automata, "_MEMO_WILDCARDS", limit)
             automata._event_codes.cache_clear()
-            bits._memo_codes.cache_clear()
             assert [outcome(text) for text in texts] == expected
 
     def test_wide_labels_leave_no_memory_behind(self):

@@ -1,12 +1,16 @@
 import copy
+import functools
+import importlib
 import itertools
 import pickle
+import pkgutil
 import random
 import sys
 import threading
 
 import pytest
 
+import syncguard
 from syncguard import Alphabet, BitVector, Event, bits
 from syncguard.bits import MAX_VARIABLES
 from syncguard.runtime import TickRecord
@@ -63,8 +67,34 @@ def test_event_text_is_built_once_from_its_vectors():
         assert first == second == f"{event.input}/{event.output}"
         assert Event.from_text(first) is event
         assert Event.from_text(first) is event
-    # bounded, as the memo lives for the whole process
-    assert Event.from_text.cache_info().maxsize is not None
+
+
+def _memos():
+    """Every ``functools.lru_cache`` wrapper among the package's module
+    attributes and the attributes of the classes its modules define, by
+    qualified name (a ``classmethod`` or ``staticmethod`` is unwrapped)."""
+    found = {}
+    for info in pkgutil.iter_modules(syncguard.__path__):
+        module = importlib.import_module(f"syncguard.{info.name}")
+        owners = [(module.__name__, vars(module))] + [
+            (f"{module.__name__}.{name}", vars(value))
+            for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for prefix, attributes in owners:
+            for name, value in attributes.items():
+                value = getattr(value, "__func__", value)
+                if isinstance(value, functools._lru_cache_wrapper):
+                    found[f"{prefix}.{name}"] = value
+    return found
+
+
+def test_every_memo_in_the_package_is_bounded():
+    # each lives for the whole process, so each holds a bounded number of entries
+    memos = _memos()
+    assert {"syncguard.bits.Event.from_text", "syncguard.automata._event_codes"} <= set(memos)
+    unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
 
 
 @pytest.mark.parametrize(
@@ -143,17 +173,12 @@ def test_pattern_length_mismatch():
         alpha.expand_event_pattern("11/--")
 
 
-def test_pattern_codes_are_memoized_tuples():
+def test_pattern_codes_are_ascending_tuples():
     codes = bits._codes("1-0", 3, "input")
     assert codes == (4, 6) and type(codes) is tuple
-    assert bits._codes("1-0", 3, "input") is codes
     assert bits._codes("", 0, "output") == (0,)
-    # bounded, as the memo lives for the whole process: at most 1024
-    # patterns, each of at most 64 codes; a wider one is built on every call
-    assert bits._memo_codes.cache_info().maxsize == 1024
-    assert bits._codes("1------", 7, "input") is bits._codes("1------", 7, "input")
-    wide = bits._codes("1-------", 8, "input")
-    assert wide == tuple(range(128, 256)) and bits._codes("1-------", 8, "input") is not wide
+    assert bits._codes("1------", 7, "input") == tuple(range(64, 128))
+    assert bits._codes("1-------", 8, "input") == tuple(range(128, 256))
 
 
 @pytest.mark.parametrize(

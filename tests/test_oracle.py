@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import syncguard.harness
+import syncguard.oracle
 from syncguard import (
     NEAREST,
     POLICIES,
@@ -775,6 +776,28 @@ def test_oracle_step_rejects_a_foreign_event(policy, observed):
     for released in ((), (ev("10/1"),)):
         with pytest.raises(ValueError, match="not in the alphabet"):
             oracle_step(a, released, ev(observed), policy, 7)
+
+
+NOT_ITERABLE = pytest.mark.parametrize(
+    "word", [None, 5, ev("10/1")], ids=["none", "int", "one-event"]
+)
+
+
+@NOT_ITERABLE
+def test_oracle_step_refuses_a_prefix_that_cannot_be_iterated(word):
+    with pytest.raises(ValueError, match="^a word is an iterable of events, got "):
+        oracle_step(mutual_exclusion(), word, ev("10/1"))
+
+
+@NOT_ITERABLE
+def test_oracle_enforce_refuses_a_word_that_cannot_be_iterated_before_any_step(
+    word, monkeypatch
+):
+    steps = []
+    monkeypatch.setattr(syncguard.oracle, "oracle_step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="^a word is an iterable of events, got "):
+        oracle_enforce(mutual_exclusion(), word)
+    assert steps == []
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -608,6 +608,15 @@ class TestEnforceWord:
                 enforce_word(target, observed)
         assert enforcer.ticks == 1
 
+    @pytest.mark.parametrize("observed", [None, 5, ev("11/1")], ids=["none", "int", "one-event"])
+    def test_a_word_that_cannot_be_iterated_is_refused_before_the_reset(self, observed):
+        enforcer = Enforcer(mutual_exclusion(), NEAREST)
+        enforcer.tick(bv("10"), parse_program(CONSTANT_ONE))
+        for target in (enforcer, mutual_exclusion()):
+            with pytest.raises(ValueError, match="^a word is an iterable of events, got "):
+                enforce_word(target, observed)
+        assert enforcer.ticks == 1
+
 
 def test_a_parsed_automaton_is_refused_with_a_hint_to_normalize():
     raw = parse_automaton(TOGGLE)
