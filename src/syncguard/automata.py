@@ -238,7 +238,11 @@ class SafetyAutomaton:
     def delta(self) -> Mapping[tuple[str, Event], str]:
         if self._delta is not None:
             return self._delta
-        keys = _delta_keys(self.alphabet.events, self.locations)
+        events, locations = self.alphabet.events, self.locations
+        if len(events) * len(locations) <= _MEMO_DELTA_KEYS:
+            keys = _delta_keys(events, locations)
+        else:
+            keys = product(locations, events)
         targets = map(self.locations.__getitem__, chain.from_iterable(self.table))
         delta = MappingProxyType(dict(zip(keys, targets)))
         # set past the frozen __setattr__, not written through the instance
@@ -282,6 +286,14 @@ class SafetyAutomaton:
 
     def accepts(self, word: Sequence[Event]) -> bool:
         return self.run(word) != self.violating
+
+
+# ``delta``'s keys are memoized only for a shape of at most this many
+# (location, event) pairs, so the memo holds at most 256 key tuples of
+# about 64 bytes per key: 4 MiB at worst.  Every corpus shape is far below
+# it (5 locations of 16 events is 80); a wider automaton's ``delta`` builds
+# its keys once and keeps them only in its own mapping.
+_MEMO_DELTA_KEYS = 256
 
 
 @lru_cache(maxsize=256)

@@ -30,7 +30,7 @@ from .automata import (
     render_input_automaton,
 )
 from .bits import BitVector, format_vector, format_word
-from .editing import NEAREST, build_edit_tables, canonical_policy, compute_edit_sets
+from .editing import NEAREST, _location_sets, canonical_policy, select
 from .harness import check_constraints
 from .programs import (
     ConstantProgram,
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, "out")
     p.set_defaults(handler=_cmd_project)
 
-    p = sub.add_parser("explain", help="dump edit sets and repair tables")
+    p = sub.add_parser("explain", help="dump safe sets and repair choices")
     p.add_argument("automaton")
     common(p, "policy", "seed", "out")
     p.set_defaults(handler=_cmd_explain)
@@ -184,30 +184,30 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    """Each accepting location's safe sets and, under ``lex`` and
+    ``random`` on an enforceable automaton, the table's pick from each."""
     automaton = _load_automaton(args.automaton)
     policy = canonical_policy(args.policy)
-    sets = compute_edit_sets(automaton)
-    tables = None
-    if policy != NEAREST and check_enforceability(automaton).enforceable:
-        tables = build_edit_tables(sets, policy, args.seed)
+    choose = policy != NEAREST and check_enforceability(automaton).enforceable
+    picks: dict[frozenset[BitVector], BitVector] = {}  # one per distinct set, as in the table
 
-    def render_set(vectors) -> str:
-        return "{" + " ".join(format_vector(v) for v in sorted(vectors)) + "}"
+    def render(vectors: frozenset[BitVector]) -> str:
+        # sorted, as a frozenset's order is not code order
+        text = "{" + " ".join(format_vector(v) for v in sorted(vectors)) + "}"
+        if choose:
+            if vectors not in picks:
+                picks[vectors] = select(vectors, None, policy, args.seed)
+            text += f"  choose {format_vector(picks[vectors])}"
+        return text
 
     lines = [f"policy: {policy}  seed: {args.seed}"]
     if policy == NEAREST:
         lines.append("(nearest repairs depend on the observed event; no static table)")
     for q in automaton.accepting_locations:
-        inputs = sets.safe_inputs[q]
-        choice = f"  choose {format_vector(tables[inputs])}" if tables else ""
-        lines.append(f"{q}: safe inputs {render_set(inputs)}{choice}")
-        for x in sorted(inputs):
-            outputs = sets.safe_outputs[(q, x)]
-            choice = f"  choose {format_vector(tables[outputs])}" if tables else ""
-            lines.append(
-                f"{q} given {format_vector(x)}: safe outputs "
-                f"{render_set(outputs)}{choice}"
-            )
+        sets = _location_sets(automaton, automaton.index[q])
+        lines.append(f"{q}: safe inputs {render(frozenset(sets))}")
+        for x, outputs in sets.items():
+            lines.append(f"{q} given {format_vector(x)}: safe outputs {render(outputs)}")
     with _open_out(args.out) as stream:
         stream.write("\n".join(lines) + "\n")
     return 0

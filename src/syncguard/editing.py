@@ -2,10 +2,14 @@
 
 For every accepting location the *safe inputs* are the input events from
 which some output keeps the run out of the trap; given a location and an
-already-fixed input, the *safe outputs* are the outputs that do so.
-:func:`compute_edit_sets` computes both once per automaton.  When an
-observed event is not in its set, ``Enforcer.tick`` replaces it with an
-element of that set, picked by one of three policies:
+already-fixed input, the *safe outputs* are the outputs that do so.  By
+the projection lemma an input is safe exactly when some output is, so
+one reader, :func:`_location_sets`, reads both off a location's row of
+the transition table: each safe input with its safe outputs.
+:func:`compute_edit_sets` collects them for every accepting location,
+and ``explain`` renders them.  When an observed event is not in its set,
+``Enforcer.tick`` replaces it with an element of that set, picked by one
+of three policies:
 
 ``nearest``
     Minimal Hamming distance from the observed event; ties prefer
@@ -21,8 +25,8 @@ element of that set, picked by one of three policies:
 refuses an empty set under every policy.
 :func:`build_edit_tables` applies it once per automaton for the
 observed-independent policies, one pick per distinct safe set, keyed by
-that set; the word-level oracle applies it to the sets it recomputes
-from membership.
+that set; ``explain`` applies it to the reader's sets, and the
+word-level oracle to the sets it recomputes from membership.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from .analysis import NotEnforceableError
-from .automata import InputAutomaton, SafetyAutomaton, project_inputs
+from .automata import InputAutomaton, SafetyAutomaton
 from .bits import BitVector
 
 NEAREST = "nearest"
@@ -79,44 +83,68 @@ class EditSets:
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]]
 
 
+def _location_sets(
+    automaton: SafetyAutomaton,
+    q: int,
+    shared: Optional[dict[tuple[bool, ...], frozenset[BitVector]]] = None,
+) -> dict[BitVector, frozenset[BitVector]]:
+    """Each safe input at location number ``q``, in code order, mapped to
+    its safe outputs.
+
+    Reads ``automaton.table[q]`` once and slices it per input, in output
+    order: an output is safe iff its target is not the trap, and an input
+    is safe iff its slice holds a safe output (the projection lemma), so
+    an unsafe input is absent and the trap and a dead location map to
+    ``{}``.  Equal slices share one frozenset through ``shared`` (a dict
+    from a slice's pattern of safe outputs to its set), so a caller that
+    passes one dict over many locations hashes each distinct pattern once.
+    """
+    if shared is None:
+        shared = {}
+    output_events = automaton.alphabet.output_events
+    width = len(output_events)
+    trap = automaton.index[automaton.violating]
+    safe = tuple(map(trap.__ne__, automaton.table[q]))
+    sets = {}
+    for k, x in enumerate(automaton.alphabet.input_events):
+        pattern = safe[k * width : (k + 1) * width]
+        outputs = shared.get(pattern)
+        if outputs is None:
+            outputs = shared[pattern] = frozenset(compress(output_events, pattern))
+        if outputs:
+            sets[x] = outputs
+    return sets
+
+
 def compute_edit_sets(
     automaton: SafetyAutomaton, input_automaton: Optional[InputAutomaton] = None
 ) -> EditSets:
     """Safe-input and safe-output sets for every accepting location.
 
-    ``safe_inputs[q]`` is empty exactly when q is a dead location; under an
-    enforceable automaton every ``safe_outputs[(q, x)]`` with x safe is
-    non-empty (that is what makes output repair always possible).  An
-    input x is safe at q iff the input automaton's targets
-    ``delta[(q, x)]`` are not the trap alone.  Safe outputs are read from
-    each location's row of :attr:`~syncguard.automata.SafetyAutomaton.table`,
-    sliced per input.  Equal slices (which outputs stay out of the trap)
-    share one set, so each distinct pattern is hashed once and
-    :func:`build_edit_tables` finds the shared sets by identity.
+    ``safe_inputs[q]`` is empty exactly when q is a dead location;
+    ``safe_outputs[(q, x)]`` is empty exactly when x is not safe at q, so
+    under an enforceable automaton every safe input has a non-empty set
+    (that is what makes output repair always possible).  Both are read
+    per location from :func:`_location_sets`, with one ``shared`` dict, so
+    equal slices share one set and :func:`build_edit_tables` finds each
+    distinct set once.  ``input_automaton`` is not read: a slice answers
+    what the projection's targets would.  The parameter stays because
+    ``perfbench/sweep.py`` passes it, and ``Enforcer.__init__`` still
+    builds the projection before this call, since a traced benchmark run
+    requires its ``automata.project_inputs`` span.
     """
-    if input_automaton is None:
-        input_automaton = project_inputs(automaton)
-    alphabet = automaton.alphabet
-    trap = automaton.index[automaton.violating]
-    relation, only_trap = input_automaton.delta, frozenset((automaton.violating,))
-    input_events, output_events = alphabet.input_events, alphabet.output_events
-    width = len(output_events)
+    empty: frozenset[BitVector] = frozenset()
+    input_events = automaton.alphabet.input_events
     shared: dict[tuple[bool, ...], frozenset[BitVector]] = {}
     safe_inputs: dict[str, frozenset[BitVector]] = {}
     safe_outputs: dict[tuple[str, BitVector], frozenset[BitVector]] = {}
-    for q, row in zip(automaton.locations, automaton.table):
+    for i, q in enumerate(automaton.locations):
         if q == automaton.violating:
             continue
-        safe_inputs[q] = frozenset(
-            x for x in input_events if not relation[(q, x)] <= only_trap
-        )
-        safe = tuple(map(trap.__ne__, row))
-        for k, x in enumerate(input_events):
-            pattern = safe[k * width : (k + 1) * width]
-            outputs = shared.get(pattern)
-            if outputs is None:
-                outputs = shared[pattern] = frozenset(compress(output_events, pattern))
-            safe_outputs[(q, x)] = outputs
+        sets = _location_sets(automaton, i, shared)
+        safe_inputs[q] = frozenset(sets)
+        for x in input_events:
+            safe_outputs[(q, x)] = sets.get(x, empty)
     return EditSets(safe_inputs, safe_outputs)
 
 

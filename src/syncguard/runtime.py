@@ -100,19 +100,21 @@ class Enforcer:
     ``edit_sets``, built by the first of them, so it is read-only by
     contract; only the table is each enforcer's own.
 
-    Nothing else is built at construction.  The first tick at a location
-    builds its row (see :meth:`_row`) from the safe sets, the table and
-    the automaton's transitions, and later ticks there read it: the
-    observed input if it is in the safe inputs at the location, and then
-    the program's output if it is in the safe outputs given the released
-    input, are kept.  Under ``lex`` and ``seeded-random`` every other
-    vector of the interface maps to the table's pick; under ``nearest``
-    it misses the row and goes to ``_repair``, which checks it and asks
-    ``choose_nearest`` on every such tick.  The program is passed to each
-    ``tick`` or ``run`` call.  A single instance is single-owner: only
-    ``tick`` changes its state, and only after the program has returned;
-    the row a tick builds before that is a cache, keyed by valid vectors
-    only.
+    Nothing else is built at construction, and only construction and
+    :meth:`_row` read the safe sets and the table.  The first tick at a
+    location builds its row from them and the automaton's transitions,
+    and later ticks there read it: the observed input if it is in the
+    safe inputs at the location, and then the program's output if it is
+    in the safe outputs given the released input, are kept.  Under
+    ``lex`` and ``seeded-random`` every other vector of the interface
+    maps to the table's pick; under ``nearest`` it misses the row and
+    goes to ``_repair``, which checks it and asks ``choose_nearest`` for
+    the closest key of the row or of its output dict (under ``nearest``
+    the keys are exactly the safe set) on every such tick.  The program
+    is passed to each ``tick`` or ``run`` call.  A single instance is
+    single-owner: only ``tick`` changes its state, and only after the
+    program has returned; the row a tick builds before that is a cache,
+    keyed by valid vectors only.
     """
 
     def __init__(
@@ -154,8 +156,8 @@ class Enforcer:
 
         Anything but a pair of an accepting location of this automaton
         and a non-negative int raises ValueError, leaving the state
-        unchanged.  The location check is one lookup: the keys of
-        ``edit_sets.safe_inputs`` are exactly the accepting locations.
+        unchanged.  The location check is one lookup in the automaton's
+        ``index`` and one comparison with its trap.
 
         The last exact ``tuple`` that passed is remembered, and the same
         object passed again is taken after one identity test: a tuple
@@ -171,8 +173,9 @@ class Enforcer:
             return
         if isinstance(snapshot, tuple) and len(snapshot) == 2:
             location, ticks = snapshot
+            automaton = self.automaton
             try:
-                accepting = location in self.edit_sets.safe_inputs
+                accepting = location in automaton.index and location != automaton.violating
             except TypeError:  # unhashable, so no location
                 accepting = False
             if accepting and isinstance(ticks, int) and not isinstance(ticks, bool) and ticks >= 0:
@@ -211,14 +214,12 @@ class Enforcer:
         try:
             x, outs = row[inputs]
         except (KeyError, TypeError):  # TypeError: unhashable, so not a BitVector
-            safe = self.edit_sets.safe_inputs[q]
-            x, outs = row[self._repair(safe, inputs, self._in_width, "input")]
+            x, outs = row[self._repair(row, inputs, self._in_width, "input")]
         outputs = program(x)
         try:
             released, location = outs[outputs]
         except (KeyError, TypeError):
-            safe = self.edit_sets.safe_outputs[(q, x)]
-            y = self._repair(safe, outputs, self._out_width, "program output")
+            y = self._repair(outs, outputs, self._out_width, "program output")
             released, location = outs[y]
         record = TickRecord(
             self.ticks,
@@ -265,16 +266,18 @@ class Enforcer:
                 row.setdefault(x, pick)
         return row
 
-    def _repair(self, safe: frozenset[BitVector], observed, width: int, role: str) -> BitVector:
-        """The ``nearest`` pick from a safe set the observed vector is not in.
+    def _repair(self, keys: dict, observed, width: int, role: str) -> BitVector:
+        """The ``nearest`` pick, among the keys of a row or of one of its
+        output dicts, for an observed vector that misses them.
 
         Checks first that the observed vector is a BitVector of the
-        interface's width (ValueError naming ``role`` if not).  Under the
-        other policies every valid vector has a row entry, so only a bad
-        one gets here, and raises.
+        interface's width (ValueError naming ``role`` if not).  Under
+        ``nearest`` the keys are exactly the safe set.  Under the other
+        policies every valid vector is a key, so only a bad one gets here,
+        and raises.
         """
         _check_vector(observed, width, role)
-        return choose_nearest(safe, observed)
+        return choose_nearest(keys, observed)
 
     def run(self, env: Iterable[BitVector], program: TickFunction) -> list[TickRecord]:
         """Fold ``tick`` over an input sequence."""

@@ -473,13 +473,39 @@ CASES: list[Case] = [
 ]
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
-def test_row(case, tmp_path, monkeypatch, capsys):
-    _write_files(case, tmp_path)
-    monkeypatch.chdir(tmp_path)
+def _run_row(case: Case, directory: Path, monkeypatch, capsys) -> None:
+    _write_files(case, directory)
+    monkeypatch.chdir(directory)
     code = main(list(case.argv))
     captured = capsys.readouterr()
-    _check(case, tmp_path, code, captured.out, captured.err)
+    _check(case, directory, code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_row(case, tmp_path, monkeypatch, capsys):
+    _run_row(case, tmp_path, monkeypatch, capsys)
+
+
+class _PipelineRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case.argv[0] == "explain"], ids=lambda case: case.id
+)
+def test_explain_rows_without_the_edit_set_pipeline(case, tmp_path, monkeypatch, capsys):
+    """``explain`` renders from the one reader of a location's sets: each of
+    its rows holds with the runtime's construction pipeline made to raise."""
+
+    def forbidden(*args, **kwargs):
+        raise _PipelineRead("explain built the edit sets or the repair tables")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("syncguard"):
+            for name in ("compute_edit_sets", "build_edit_tables"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    _run_row(case, tmp_path, monkeypatch, capsys)
 
 
 FRESH = [

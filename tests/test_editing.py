@@ -93,6 +93,31 @@ class TestEditSets:
             )
             assert sets.safe_inputs[q] == expected_inputs
 
+    @settings(max_examples=50, deadline=None)
+    @given(a=safety_automata())
+    def test_the_location_reader_matches_its_definition(self, a):
+        # each safe input, in code order, to the outputs that keep the step
+        # out of the trap; an input with none is absent, so the trap's and a
+        # dead location's sets are empty
+        shared, first = {}, {}
+        alphabet = a.alphabet
+        for i, q in enumerate(a.locations):
+            sets = editing._location_sets(a, i, shared)
+            for outputs in sets.values():  # equal slices share one set
+                assert first.setdefault(outputs, outputs) is outputs
+            expected = {}
+            for x in alphabet.input_events:
+                outputs = frozenset(
+                    y
+                    for y in alphabet.output_events
+                    if a.delta[(q, alphabet.event(x, y))] != a.violating
+                )
+                if outputs:
+                    expected[x] = outputs
+            assert sets == expected
+            assert list(sets) == [x for x in alphabet.input_events if x in expected]
+            assert sets == editing._location_sets(a, i)  # alike without a shared dict
+
     @settings(max_examples=40, deadline=None)
     @given(a=safety_automata())
     def test_sets_agree_with_membership_after_accepted_words(self, a):

@@ -946,7 +946,9 @@ class _CompiledFormRead(Exception):
 
 
 # What the runtime compiles an automaton into, and the runtime itself.
-COMPILED_FORM = ("project_inputs", "compute_edit_sets", "build_edit_tables", "Enforcer")
+COMPILED_FORM = (
+    "project_inputs", "compute_edit_sets", "_location_sets", "build_edit_tables", "Enforcer"
+)
 
 
 def test_oracle_reads_nothing_of_the_compiled_form(monkeypatch):

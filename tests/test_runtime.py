@@ -457,8 +457,9 @@ class TestStateTracking:
 
 
 def _count_location_checks(enforcer):
-    """Make ``restore``'s location lookup count itself in ``lookups`` of
-    the returned class."""
+    """Make ``restore``'s location lookup in the automaton's ``index``
+    count itself in ``lookups`` of the returned class, on a copy of the
+    automaton, so a shared instance keeps its own index."""
 
     class Counted(dict):
         lookups = 0
@@ -467,8 +468,9 @@ def _count_location_checks(enforcer):
             Counted.lookups += 1
             return super().__contains__(key)
 
-    sets = enforcer.edit_sets
-    enforcer.edit_sets = dataclasses.replace(sets, safe_inputs=Counted(sets.safe_inputs))
+    automaton = copy.copy(enforcer.automaton)
+    object.__setattr__(automaton, "index", Counted(automaton.index))
+    enforcer.automaton = automaton
     return Counted
 
 
@@ -751,6 +753,19 @@ class TestSharedEditSets:
 POLICY_NAMES = ("nearest", "lex", "lexicographic", "random", "seeded-random")
 
 
+class _Unreadable:
+    """Stands in for the safe sets and the table: any read raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read .{name} of the safe sets or the table")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read [{key!r}] of the safe sets or the table")
+
+    def __contains__(self, key):
+        raise AssertionError(f"tested {key!r} against the safe sets or the table")
+
+
 def _row_contents(enforcer):
     """Each built row as plain data: location -> input -> (released input, outputs)."""
     return {
@@ -798,6 +813,44 @@ class TestRows:
             enforcer.tick(inputs, lambda _: outputs)
         assert enforcer.snapshot() == before
         assert _row_contents(enforcer) == rows
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_once_every_row_is_built_no_tick_or_restore_reads_the_safe_sets(self, policy):
+        # nearest repairs, bad vectors and bad snapshots behave as on an
+        # enforcer whose sets are still readable
+        two_outputs = random_enforceable_automata(Alphabet(("A",), ("R", "S")), 6, 3, seed=1)
+        random19 = normalize(parse_automaton((GOLDEN / "random19.aut").read_text()))
+        bad_vectors = [bv("111"), 1, "10", [1, 0], None]
+        for a in [mutual_exclusion(), random19] + two_outputs:
+            x0, y0 = a.alphabet.input_events[0], a.alphabet.output_events[0]
+            reference, enforcer = Enforcer(a, policy, 3), Enforcer(a, policy, 3)
+            for q in a.accepting_locations:  # build every row
+                enforcer.restore((q, 0))
+                enforcer.tick(x0, lambda _: y0)
+            enforcer.edit_sets = enforcer.tables = _Unreadable()
+
+            def outcome(e, call):
+                try:
+                    result = call(e)
+                except ValueError as exc:
+                    result = str(exc)
+                return result, e.snapshot()
+
+            for q in a.accepting_locations:
+                calls = [
+                    lambda e, x=event.input, y=event.output: e.tick(x, lambda _: y)
+                    for event in a.alphabet.events
+                ]
+                calls += [lambda e, v=v: e.tick(v, lambda _: y0) for v in bad_vectors]
+                calls += [lambda e, v=v: e.tick(x0, lambda _: v) for v in bad_vectors]
+                calls += [
+                    lambda e, s=s: e.restore(s)
+                    for s in [*BAD_SNAPSHOTS.values(), *MORE_BAD_SNAPSHOTS.values(), (q, 5)]
+                ]
+                for call in calls:
+                    reference.restore((q, 1))
+                    enforcer.restore((q, 1))
+                    assert outcome(enforcer, call) == outcome(reference, call)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_rows_are_built_on_the_first_tick_at_a_location(self, policy):
