@@ -27,12 +27,13 @@ per declared variable, over ``0``, ``1`` and the wildcard ``-``.
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .bits import WILDCARD, Alphabet, BitVector, Event, _codes
 
@@ -154,9 +155,10 @@ class SafetyAutomaton:
     included, in the event order :class:`~syncguard.bits.Alphabet` states,
     so the targets of input code x are the contiguous slice
     ``table[i][x * 2**|O| : (x + 1) * 2**|O|]``, in output order.
-    ``delta`` is the same function keyed by ``(location, event)``, read-only
-    and built from the table on first read, location by location in
-    ``locations`` order and events in ``alphabet.events`` order.
+    ``delta`` is the same function keyed by ``(location, event)``: a
+    read-only view of the table, made on each read and keeping nothing,
+    that lists location by location in ``locations`` order and events in
+    ``alphabet.events`` order.
 
     The constructor takes a ``delta`` mapping and validates it in full.
     Instances produced by :func:`normalize` skip that check, as their
@@ -212,15 +214,16 @@ class SafetyAutomaton:
         fill(self, "table", table)
         fill(self, "index", index)
         # later a weak reference to the safe sets of this automaton's live
-        # enforcers (see syncguard.runtime), ``delta`` once read, and the
-        # word-level oracle's repairs of trap-bound steps, keyed by
-        # (location number, observed code, policy, seed), which only
-        # syncguard.oracle reads (the runtime never does); all filled here
-        # so every instance fills its attributes in one order (see
-        # ``delta``), and not fields, so equality, hashing, repr, copies
-        # and pickling ignore them
+        # enforcers (see syncguard.runtime) and the word-level oracle's
+        # repairs of trap-bound steps, keyed by (location number, observed
+        # code, policy, seed), which only syncguard.oracle reads (the
+        # runtime never does).  Both are filled here so every instance
+        # fills its attributes in one order, and later set past the frozen
+        # __setattr__: a write through the instance __dict__ turns off
+        # CPython's fast attribute reads for the automaton (2-3x slower on
+        # 3.11), which the tick makes on every step.  They are not fields,
+        # so equality, hashing, repr, copies and pickling ignore them.
         fill(self, "_edit_sets", None)
-        fill(self, "_delta", None)
         fill(self, "_oracle_repairs", None)
 
     def __reduce__(self):
@@ -236,20 +239,7 @@ class SafetyAutomaton:
 
     @property
     def delta(self) -> Mapping[tuple[str, Event], str]:
-        if self._delta is not None:
-            return self._delta
-        events, locations = self.alphabet.events, self.locations
-        if len(events) * len(locations) <= _MEMO_DELTA_KEYS:
-            keys = _delta_keys(events, locations)
-        else:
-            keys = product(locations, events)
-        targets = map(self.locations.__getitem__, chain.from_iterable(self.table))
-        delta = MappingProxyType(dict(zip(keys, targets)))
-        # set past the frozen __setattr__, not written through the instance
-        # __dict__: that turns off CPython's fast attribute reads for this
-        # automaton (2-3x slower on 3.11), which the tick makes on every step
-        object.__setattr__(self, "_delta", delta)
-        return delta
+        return _Delta(self)
 
     def step(self, location: str, event: Event) -> str:
         """Successor of a location by an event :meth:`Alphabet.code` finds, or ``ValueError``."""
@@ -288,22 +278,50 @@ class SafetyAutomaton:
         return self.run(word) != self.violating
 
 
-# ``delta``'s keys are memoized only for a shape of at most this many
-# (location, event) pairs, so the memo holds at most 256 key tuples of
-# about 64 bytes per key: 4 MiB at worst.  Every corpus shape is far below
-# it (5 locations of 16 events is 80); a wider automaton's ``delta`` builds
-# its keys once and keeps them only in its own mapping.
-_MEMO_DELTA_KEYS = 256
+class _Delta(Mapping):
+    """``SafetyAutomaton.delta``: the table read by ``(location, event)``.
+
+    A key is a pair of a declared location and an event of the alphabet
+    (the instance at its code, as :meth:`~syncguard.bits.Alphabet.code`
+    checks); any other key raises ``KeyError``, and an unhashable one
+    ``TypeError``, as a dict would.  Only the automaton is held.
+    """
+
+    __slots__ = ("_automaton",)
+
+    def __init__(self, automaton: SafetyAutomaton):
+        self._automaton = automaton
+
+    def __getitem__(self, key: tuple[str, Event]) -> str:
+        hash(key)
+        a = self._automaton
+        if isinstance(key, tuple) and len(key) == 2:
+            location, event = key
+            try:
+                if a.alphabet.events[event.code] is event:
+                    return a.locations[a.table[a.index[location]][event.code]]
+            except (AttributeError, IndexError, KeyError, TypeError):
+                pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return product(self._automaton.locations, self._automaton.alphabet.events)
+
+    def __len__(self) -> int:
+        return len(self._automaton.locations) * len(self._automaton.alphabet.events)
+
+    def items(self) -> "_DeltaItems":
+        return _DeltaItems(self)
 
 
-@lru_cache(maxsize=256)
-def _delta_keys(
-    events: tuple[Event, ...], locations: tuple[str, ...]
-) -> tuple[tuple[str, Event], ...]:
-    """``delta``'s keys in order, shared by the automata of one event
-    layout and location list (all normalized automata of one size share
-    the list)."""
-    return tuple(product(locations, events))
+class _DeltaItems(ItemsView):
+    """``delta``'s items, each target read off the table in key order."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        a = self._mapping._automaton
+        return zip(self._mapping, map(a.locations.__getitem__, chain.from_iterable(a.table)))
 
 
 def _validated_table(

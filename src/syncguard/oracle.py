@@ -89,7 +89,7 @@ def oracle_step(
     repairs = automaton._oracle_repairs
     if repairs is None:
         repairs = {}
-        # past the frozen __setattr__, as ``SafetyAutomaton.delta`` is set
+        # past the frozen __setattr__; SafetyAutomaton._fill says why
         object.__setattr__(automaton, "_oracle_repairs", repairs)
     key = (location, code, policy, seed if policy == SEEDED_RANDOM else None)
     repair = repairs.get(key)

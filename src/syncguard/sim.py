@@ -72,22 +72,31 @@ def random_input_chunks(alphabet: Alphabet, ticks: int, seed: int) -> Iterator[l
     """The seeded input sequence of :func:`random_inputs`, drawn one chunk
     of at most :data:`DRAWS_PER_CALL` ticks at a time, as it is read.
 
-    Each chunk is one wide draw, read as 16-bit halves: the low half of
-    word i is the i-th ``getrandbits(32)``'s low 16 bits, which is all the
-    modulus (at most 2**16, a power of two) keeps.  The tick count and the
-    seed are checked when this is called, before the first draw.
+    Each chunk is one wide draw of n 32-bit words, little-endian, of which
+    only each word's two low bytes are read, as the modulus (at most
+    2**16, a power of two) keeps no more: bytes ``0::4`` and ``1::4``, each
+    masked through a 256-byte translation table (the modulus mask's low
+    and high byte), are interleaved into one buffer read as n 16-bit
+    codes.  The same path serves every input width.  The tick count and
+    the seed are checked when this is called, before the first draw.
     """
     _check_int("ticks", ticks)
     _check_int("seed", seed)
     rng = random.Random(seed)
     choices = alphabet.input_events
     mask = len(choices) - 1
+    low = bytes(b & mask & 0xFF for b in range(256))
+    high = bytes(b & (mask >> 8) for b in range(256))
 
     def draw(n: int) -> list[BitVector]:
-        halves = array("H", rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
+        words = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        pairs = bytearray(2 * n)
+        pairs[0::2] = words[0::4].translate(low)
+        pairs[1::2] = words[1::4].translate(high)
+        codes = array("H", pairs)
         if sys.byteorder == "big":
-            halves.byteswap()
-        return [choices[h & mask] for h in halves[::2]]
+            codes.byteswap()
+        return [choices[c] for c in codes]
 
     return (draw(min(DRAWS_PER_CALL, ticks - start)) for start in range(0, ticks, DRAWS_PER_CALL))
 

@@ -1,11 +1,13 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -908,21 +910,62 @@ class TestTable:
             )
             assert renamed != a and isomorphic(renamed, a) and normalize(renamed) == a
 
-    def test_delta_keys_are_memoized_only_up_to_the_bound(self, monkeypatch, random_family):
-        # the same mapping, in the same order, whether the keys are shared
-        memoized = [list(copy.copy(a).delta.items()) for a in random_family[:20]]
-        monkeypatch.setattr(automata, "_MEMO_DELTA_KEYS", 0)
-        automata._delta_keys.cache_clear()
-        built = [list(copy.copy(a).delta.items()) for a in random_family[:20]]
-        assert built == memoized
-        assert automata._delta_keys.cache_info().currsize == 0
+    def test_delta_is_a_view_of_the_table(self, random_family, alpha_11):
+        hand_built = [_hand_built(alpha_11), _hand_built(alpha_11, locations=("qv", "q0"))]
+        for a in random_family + hand_built:
+            events = a.alphabet.events
+            table = {
+                (q, e): a.locations[t]
+                for q, row in zip(a.locations, a.table)
+                for e, t in zip(events, row)
+            }
+            before = dict(vars(a))
+            delta = a.delta
+            assert dict(delta.items()) == table
+            assert list(delta) == list(itertools.product(a.locations, events))
+            assert len(delta) == len(table)
+            for key, target in table.items():
+                assert key in delta and delta.get(key) == delta[key] == target
+            missing = [
+                (a.initial, ev("0/11")),  # a foreign shape, its code in range
+                (a.initial, ev("11/11")),  # a foreign shape, its code out of range
+                (a.initial, str(events[0])),
+                ("nowhere", events[0]),
+                a.initial,
+                (a.initial,),
+                (a.initial, events[0], a.initial),
+            ]
+            for key in missing:
+                assert key not in delta and delta.get(key) is None
+                with pytest.raises(KeyError):
+                    delta[key]
+            with pytest.raises(TypeError):
+                delta[([a.initial], events[0])]
+            # reading it stored nothing on the automaton
+            assert vars(a).keys() == before.keys()
+            assert all(vars(a)[name] is value for name, value in before.items())
+
+        # an automaton whose delta was read is freed without the cyclic collector
+        gc.disable()
+        try:
+            a = copy.copy(random_family[0])
+            delta = a.delta
+            list(delta.items())
+            ref = weakref.ref(a)
+            del a, delta
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
     def test_wide_delta_keys_leave_no_memory_behind(self):
         """Six 8-input, 8-output, 4-location automata whose ``delta`` was
         read: with every shape's keys memoized they left 19.8 MB of RSS
         once deleted on CPython 3.11; with a wide shape's keys kept only in
-        its own mapping, 1.9 MB."""
+        its own mapping, 1.9 MB; with ``delta`` a view of the table that
+        keeps nothing, 2.2 MB, what the same six automata leave when
+        ``delta`` is not read at all (the rest is the heap normalize
+        leaves behind)."""
         result = subprocess.run(
             [sys.executable, "-c", WIDE_DELTA_PROBE],
             env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,

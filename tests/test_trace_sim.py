@@ -1,4 +1,6 @@
+import functools
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -45,19 +47,25 @@ def test_random_inputs_cover_the_input_alphabet():
     assert drawn == set(alpha.input_events)
 
 
-@pytest.mark.parametrize("width", [0, 1, 4, 8, 9, 16])
-def test_random_inputs_match_the_per_tick_definition(width):
-    import random
+@functools.lru_cache(maxsize=3)
+def _per_tick_words(seed, count):
+    """The first ``count`` ``getrandbits(32)`` draws of ``Random(seed)``,
+    one call per tick: the definition the bulk draw must reproduce."""
+    rng = random.Random(seed)
+    return tuple(rng.getrandbits(32) for _ in range(count))
 
+
+@pytest.mark.parametrize("width", range(17))
+def test_random_inputs_match_the_per_tick_definition(width):
     from syncguard.sim import DRAWS_PER_CALL
 
     alpha = Alphabet(tuple(f"i{k}" for k in range(width)), ())
     choices = alpha.input_events
     lengths = [-1, 0, 1, 2, 3, DRAWS_PER_CALL - 1, DRAWS_PER_CALL, DRAWS_PER_CALL + 1]
     for seed in (0, 7, 2**40 + 3):
+        words = _per_tick_words(seed, max(lengths))
         for ticks in lengths:
-            rng = random.Random(seed)
-            expected = [choices[rng.getrandbits(32) % len(choices)] for _ in range(ticks)]
+            expected = [choices[word % len(choices)] for word in words[: max(ticks, 0)]]
             drawn = random_inputs(alpha, ticks, seed)
             assert len(drawn) == len(expected), (seed, ticks)
             chunks = list(random_input_chunks(alpha, ticks, seed))
